@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crawler"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/report"
 	"repro/internal/standards"
 	"repro/internal/synthweb"
@@ -37,6 +39,17 @@ var (
 	benchResults *core.Results
 	benchErr     error
 )
+
+// survey runs the methodology over the web on a one-shard survey engine
+// with four workers.
+func survey(b *testing.B, web *synthweb.Web, bind *webapi.Bindings, cfg crawler.Config) *pipeline.Result {
+	b.Helper()
+	res, err := pipeline.New(web, bind, pipeline.Config{Shards: 1, WorkersPerShard: 4, Crawl: cfg}).Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
 
 func sharedStudy(b *testing.B) (*core.Study, *core.Results) {
 	b.Helper()
@@ -77,7 +90,7 @@ func BenchmarkFeaturePopularity(b *testing.B) {
 	b.ResetTimer()
 	var bands analysis.FeatureBands
 	for i := 0; i < b.N; i++ {
-		a := analysis.New(results.Log, study.Registry)
+		a := analysis.FromStats(results.Agg, study.Registry)
 		bands = a.Bands(measure.CaseDefault)
 	}
 	b.ReportMetric(float64(bands.NeverUsed), "never-used(paper:689)")
@@ -236,13 +249,9 @@ func BenchmarkSurveySmall(b *testing.B) {
 	cfg := crawler.DefaultConfig(5)
 	cfg.Cases = []measure.Case{measure.CaseDefault}
 	cfg.Rounds = 1
-	cfg.Parallelism = 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := crawler.New(web, bind, cfg)
-		if _, _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
+		survey(b, web, bind, cfg)
 	}
 }
 
@@ -271,12 +280,8 @@ func BenchmarkAblationPathNovelty(b *testing.B) {
 			cfg.PathNoveltyPreference = novelty
 			var discovered int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(web, bind, cfg)
-				log, _, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				a := analysis.New(log, reg)
+				res := survey(b, web, bind, cfg)
+				a := analysis.FromStats(res.Agg, reg)
 				discovered = a.UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(discovered), "standards-discovered")
@@ -304,12 +309,7 @@ func BenchmarkAblationActionBudget(b *testing.B) {
 			cfg.PageSeconds = seconds
 			var used int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(web, bind, cfg)
-				log, _, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				fs := log.FeatureSites(measure.CaseDefault)
+				fs := survey(b, web, bind, cfg).Agg.FeatureSites(measure.CaseDefault)
 				used = 0
 				for _, n := range fs {
 					if n > 0 {
@@ -341,12 +341,8 @@ func BenchmarkAblationRounds(b *testing.B) {
 			cfg.Rounds = rounds
 			var used int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(web, bind, cfg)
-				log, _, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				a := analysis.New(log, reg)
+				res := survey(b, web, bind, cfg)
+				a := analysis.FromStats(res.Agg, reg)
 				used = a.UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(used), "standards-discovered")
@@ -398,13 +394,9 @@ func BenchmarkAblationBranch(b *testing.B) {
 			var pages int64
 			var used int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(web, bind, cfg)
-				log, stats, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages = stats.PagesVisited
-				a := analysis.New(log, reg)
+				res := survey(b, web, bind, cfg)
+				pages = res.Stats.PagesVisited
+				a := analysis.FromStats(res.Agg, reg)
 				used = a.UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(pages), "pages")
@@ -431,12 +423,8 @@ func BenchmarkClosedWebCrawl(b *testing.B) {
 	cfg.WithCredentials = true
 	var used int
 	for i := 0; i < b.N; i++ {
-		c := crawler.New(web, bind, cfg)
-		log, _, err := c.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		a := analysis.New(log, reg)
+		res := survey(b, web, bind, cfg)
+		a := analysis.FromStats(res.Agg, reg)
 		used = a.UsedStandards(measure.CaseDefault)
 	}
 	b.ReportMetric(float64(used), "standards-incl-closed-web")

@@ -7,14 +7,13 @@
 //
 // At -sites 10000 the run reproduces the paper's full scale (four browser
 // configurations, five rounds, 13 pages per visit). The survey executes on
-// the sharded internal/pipeline engine (-shards partitions × workers);
-// -shards 0 falls back to the legacy sequential loop. Both produce the same
-// log for a seed.
+// the sharded internal/pipeline engine: -shards partitions share a budget
+// of -parallelism workers. Every geometry produces the same log for a seed.
 //
 // -format picks the log encoding (csv or binary); readers auto-detect, so
 // either loads anywhere a log is accepted. -cache memoizes visit outcomes
 // on disk so a re-run with an overlapping configuration skips completed
-// visits (pipeline engine only, -shards ≥ 1).
+// visits.
 package main
 
 import (
@@ -35,12 +34,12 @@ func main() {
 		seed        = flag.Int64("seed", 42, "deterministic seed for generation and crawling")
 		rounds      = flag.Int("rounds", 5, "visits per (site, configuration)")
 		parallelism = flag.Int("parallelism", 8, "total concurrent site workers")
-		shards      = flag.Int("shards", 4, "site partitions for the pipeline engine; 0 = legacy sequential loop")
+		shards      = flag.Int("shards", 4, "site partitions of the survey engine (values below 1 mean 1)")
 		cases       = flag.String("cases", "default,blocking,adblock,ghostery", "comma-separated browser configurations")
 		useHTTP     = flag.Bool("http", false, "fetch through a real net/http server instead of in-process")
 		out         = flag.String("out", "", "write the measurement log to this file")
 		format      = flag.String("format", "csv", "log encoding for -out: csv or binary")
-		cacheDir    = flag.String("cache", "", "visit cache directory; re-runs skip cached visits (needs -shards >= 1)")
+		cacheDir    = flag.String("cache", "", "visit cache directory; re-runs skip cached visits")
 		cacheLimit  = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
 	)
 	flag.Parse()
@@ -51,11 +50,6 @@ func main() {
 		if c != "" {
 			cs = append(cs, measure.Case(c))
 		}
-	}
-
-	if *cacheDir != "" && *shards <= 0 {
-		fmt.Fprintln(os.Stderr, "crawl: -cache requires the pipeline engine (-shards >= 1)")
-		os.Exit(2)
 	}
 
 	study, err := core.NewStudy(core.Config{

@@ -27,11 +27,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/crawler"
 	"repro/internal/logstore"
-	"repro/internal/measure"
 	"repro/internal/report"
 )
 
@@ -40,18 +37,15 @@ func main() {
 		sites       = flag.Int("sites", 1000, "ranking size (must match the log if -log is given)")
 		seed        = flag.Int64("seed", 42, "deterministic seed (must match the log if -log is given)")
 		parallelism = flag.Int("parallelism", 8, "concurrent site workers when re-running the survey")
-		shards      = flag.Int("shards", 4, "site partitions when re-running the survey; 0 = sequential loop")
+		shards      = flag.Int("shards", 4, "site partitions when re-running the survey (values below 1 mean 1)")
 		logPath     = flag.String("log", "", "read measurements from this log file (format auto-detected) instead of crawling")
 		spillsGlob  = flag.String("spills", "", "merge spill files matching this glob through the streaming stats layer instead of crawling (bounded memory; per-site artifacts unavailable)")
-		cacheDir    = flag.String("cache", "", "visit cache directory for survey re-runs (needs -shards >= 1)")
+		cacheDir    = flag.String("cache", "", "visit cache directory for survey re-runs")
 		cacheLimit  = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
 		only        = flag.String("only", "", "render one artifact: figure1|figure3|figure4|figure5|figure6|figure7|figure8|figure9|table1|table2|table3|headlines")
 	)
 	flag.Parse()
 
-	if *cacheDir != "" && *shards <= 0 {
-		fatal(fmt.Errorf("report: -cache requires the pipeline engine (-shards >= 1)"))
-	}
 	if *logPath != "" && *spillsGlob != "" {
 		fatal(fmt.Errorf("report: -log and -spills are mutually exclusive"))
 	}
@@ -76,10 +70,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		results = &core.Results{
-			Log:      log,
-			Stats:    statsFromLog(log),
-			Analysis: analysis.New(log, study.Registry),
+		if results, err = study.ResultsFromLog(log); err != nil {
+			fatal(err)
 		}
 	case *spillsGlob != "":
 		paths, err := core.SpillGlob(*spillsGlob)
@@ -153,18 +145,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown artifact %q", *only))
 	}
-}
-
-// statsFromLog reconstructs Table 1 summary data from a saved log.
-func statsFromLog(log *measure.Log) *crawler.Stats {
-	s := &crawler.Stats{DomainsMeasured: log.MeasuredCount()}
-	s.DomainsFailed = len(log.Domains) - s.DomainsMeasured
-	for _, cl := range log.Cases {
-		s.PagesVisited += cl.PagesVisited
-		s.Invocations += cl.Invocations
-	}
-	s.InteractionSeconds = float64(s.PagesVisited) * 30
-	return s
 }
 
 func fatal(err error) {

@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
 
 	"repro/internal/crawler"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/standards"
 	"repro/internal/synthweb"
 	"repro/internal/webapi"
@@ -43,26 +45,12 @@ func main() {
 		cfg := crawler.DefaultConfig(42)
 		cfg.Cases = []measure.Case{measure.CaseDefault}
 		cfg.WithCredentials = withCreds
-		c := crawler.New(web, bind, cfg)
-		logm, _, err := c.Run()
+		eng := pipeline.New(web, bind, pipeline.Config{Shards: 1, WorkersPerShard: 4, Crawl: cfg})
+		res, err := eng.Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
-		out := map[standards.Abbrev]int{}
-		for site := range web.Sites {
-			u := logm.SiteUnion(measure.CaseDefault, site)
-			if u == nil {
-				continue
-			}
-			seen := map[standards.Abbrev]bool{}
-			for _, f := range reg.Features {
-				if u.Get(f.ID) && !seen[f.Standard] {
-					seen[f.Standard] = true
-					out[f.Standard]++
-				}
-			}
-		}
-		return out
+		return res.Agg.StandardSites(measure.CaseDefault)
 	}
 
 	fmt.Println("crawling anonymously (the paper's open-web scope)...")

@@ -13,27 +13,22 @@ import (
 )
 
 // Analysis joins a survey's measurements with the corpus it measured. It
-// has two data sources, and holds at least one of them:
+// reads two data sources:
 //
-//   - Log, the full per-visit measurement log. Aggregate statistics are
-//     derived by scanning it ("cold"), and per-site queries
-//     (SiteStandards, VisitWeightedPopularity, HumanDelta) require it.
+//   - Agg, the warm statistics source every aggregate statistic comes
+//     from: a mergeable stats.Aggregate maintained incrementally while the
+//     survey ran (or folded from spill files or a saved log), or an
+//     immutable stats.Snapshot of one (the query server's epoch read
+//     path). It is always present.
 //
-//   - Agg, a warm statistics source: a mergeable stats.Aggregate
-//     maintained incrementally while the survey ran (or folded from spill
-//     files), or an immutable stats.Snapshot of one (the query server's
-//     epoch read path). When present, every aggregate statistic is read
-//     from it directly — no rescan ("warm"). With no Log alongside (a
-//     spill-only run), per-site queries degrade gracefully: they return
+//   - Log, the full per-visit measurement log, which only the per-site
+//     queries (SiteStandards, VisitWeightedPopularity, HumanDelta) read.
+//     Without it (a spill-only run) they degrade gracefully: they return
 //     nil.
-//
-// Warm and cold construction produce identical results for every aggregate
-// method; the only documented difference is Complexity's element order
-// (its consumers are order-insensitive distributions).
 type Analysis struct {
 	Log *measure.Log
 	Reg *webidl.Registry
-	// Agg is the warm statistics source; nil for a purely cold analysis.
+	// Agg is the warm statistics source.
 	Agg stats.Source
 
 	// stdOf[featureID] is the feature's standard, memoized.
@@ -42,32 +37,21 @@ type Analysis struct {
 	stdSitesCache map[measure.Case]map[standards.Abbrev]int
 	// siteStdCache memoizes per-case, per-site standard sets.
 	siteStdCache map[measure.Case][]map[standards.Abbrev]bool
-	// featureSitesCache memoizes per-case feature site counts, so even
-	// the cold path scans the log at most once per case.
+	// featureSitesCache memoizes per-case feature site counts.
 	featureSitesCache map[measure.Case][]int
 }
 
-// New builds a cold analysis over a log and corpus.
-func New(log *measure.Log, reg *webidl.Registry) *Analysis {
-	return newAnalysis(log, nil, reg)
-}
-
-// FromStats builds a warm analysis directly from a statistics source — a
-// live mergeable aggregate or an immutable snapshot — no log, no rescan.
-// Aggregate methods match a cold analysis of the same survey exactly;
-// per-site methods return nil (reassemble the log from spill files when
-// they are needed).
+// FromStats builds an analysis from a statistics source alone — a live
+// mergeable aggregate or an immutable snapshot — with no log; per-site
+// methods return nil (reassemble the log from spill files when they are
+// needed).
 func FromStats(src stats.Source, reg *webidl.Registry) *Analysis {
-	return newAnalysis(nil, src, reg)
+	return NewWarm(nil, src, reg)
 }
 
-// NewWarm builds an analysis with both sources: aggregate statistics come
-// from the warm source, per-site queries from the log.
+// NewWarm builds an analysis whose aggregate statistics come from the warm
+// source and whose per-site queries read the log (nil for none).
 func NewWarm(log *measure.Log, src stats.Source, reg *webidl.Registry) *Analysis {
-	return newAnalysis(log, src, reg)
-}
-
-func newAnalysis(log *measure.Log, src stats.Source, reg *webidl.Registry) *Analysis {
 	a := &Analysis{
 		Log:               log,
 		Agg:               src,
@@ -81,22 +65,6 @@ func newAnalysis(log *measure.Log, src stats.Source, reg *webidl.Registry) *Anal
 		a.stdOf[i] = f.Standard
 	}
 	return a
-}
-
-// numSites returns the survey's site-list size.
-func (a *Analysis) numSites() int {
-	if a.Log != nil {
-		return len(a.Log.Domains)
-	}
-	return a.Agg.NumSites()
-}
-
-// measuredCount returns how many sites produced measurements.
-func (a *Analysis) measuredCount() int {
-	if a.Agg != nil {
-		return a.Agg.MeasuredCount()
-	}
-	return a.Log.MeasuredCount()
 }
 
 // SiteStandards returns, per site, the set of standards with at least one
@@ -131,34 +99,18 @@ func (a *Analysis) StandardSites(c measure.Case) map[standards.Abbrev]int {
 	if cached, ok := a.stdSitesCache[c]; ok {
 		return cached
 	}
-	var out map[standards.Abbrev]int
-	if a.Agg != nil {
-		out = a.Agg.StandardSites(c)
-	} else {
-		out = make(map[standards.Abbrev]int)
-		for _, set := range a.SiteStandards(c) {
-			for std := range set {
-				out[std]++
-			}
-		}
-	}
+	out := a.Agg.StandardSites(c)
 	a.stdSitesCache[c] = out
 	return out
 }
 
 // FeatureSites returns per-feature site counts under the case ("feature
-// popularity" numerators). Warm analyses read the incrementally maintained
-// counts; cold ones scan the log once per case and memoize.
+// popularity" numerators), read from the incrementally maintained counts.
 func (a *Analysis) FeatureSites(c measure.Case) []int {
 	if cached, ok := a.featureSitesCache[c]; ok {
 		return cached
 	}
-	var out []int
-	if a.Agg != nil {
-		out = a.Agg.FeatureSites(c)
-	} else {
-		out = a.Log.FeatureSites(c)
-	}
+	out := a.Agg.FeatureSites(c)
 	a.featureSitesCache[c] = out
 	return out
 }
@@ -183,7 +135,7 @@ func (a *Analysis) Bands(c measure.Case) FeatureBands {
 	// 1% of the ranking, with a floor of 2 so the band stays meaningful
 	// at sub-paper scales (a threshold of 1 would make "used on fewer
 	// than 1% of sites" unsatisfiable for used features).
-	threshold := a.numSites() / 100
+	threshold := a.Agg.NumSites() / 100
 	if threshold < 2 {
 		threshold = 2
 	}
@@ -217,36 +169,14 @@ type BlockRate struct {
 // standard by default, the fraction on which no feature of the standard
 // executed with blocking installed.
 func (a *Analysis) BlockRates(blockingCase measure.Case) map[standards.Abbrev]BlockRate {
-	if a.Agg != nil {
-		def := a.StandardSites(measure.CaseDefault)
-		blocked := a.Agg.BlockedSites(blockingCase)
-		out := make(map[standards.Abbrev]BlockRate)
-		for _, std := range standards.Catalog() {
-			br := BlockRate{
-				Standard:     std.Abbrev,
-				DefaultSites: def[std.Abbrev],
-				BlockedSites: blocked[std.Abbrev],
-			}
-			if br.DefaultSites > 0 {
-				br.Rate = float64(br.BlockedSites) / float64(br.DefaultSites)
-			}
-			out[std.Abbrev] = br
-		}
-		return out
-	}
-	def := a.SiteStandards(measure.CaseDefault)
-	blk := a.SiteStandards(blockingCase)
+	def := a.StandardSites(measure.CaseDefault)
+	blocked := a.Agg.BlockedSites(blockingCase)
 	out := make(map[standards.Abbrev]BlockRate)
 	for _, std := range standards.Catalog() {
-		br := BlockRate{Standard: std.Abbrev}
-		for site := range def {
-			if def[site] == nil || !def[site][std.Abbrev] {
-				continue
-			}
-			br.DefaultSites++
-			if blk[site] == nil || !blk[site][std.Abbrev] {
-				br.BlockedSites++
-			}
+		br := BlockRate{
+			Standard:     std.Abbrev,
+			DefaultSites: def[std.Abbrev],
+			BlockedSites: blocked[std.Abbrev],
 		}
 		if br.DefaultSites > 0 {
 			br.Rate = float64(br.BlockedSites) / float64(br.DefaultSites)
@@ -257,21 +187,10 @@ func (a *Analysis) BlockRates(blockingCase measure.Case) map[standards.Abbrev]Bl
 }
 
 // Complexity returns, per measured site, the number of standards used in
-// the default case (§5.9 / Figure 8). With a log the series is in site
-// order; a purely warm analysis returns the same multiset ascending (its
-// consumers — histograms, CDFs — are order-insensitive).
+// the default case (§5.9 / Figure 8), ascending. Its consumers —
+// histograms, CDFs — are order-insensitive.
 func (a *Analysis) Complexity() []int {
-	if a.Log == nil {
-		return a.Agg.Complexity()
-	}
-	var out []int
-	for site, set := range a.SiteStandards(measure.CaseDefault) {
-		if !a.Log.Measured[site] || set == nil {
-			continue
-		}
-		out = append(out, len(set))
-	}
-	return out
+	return a.Agg.Complexity()
 }
 
 // StandardPopularityCDF computes Figure 3: the cumulative distribution of
@@ -419,7 +338,7 @@ func (a *Analysis) Table2(db *cve.Database) []Table2Row {
 	sites := a.StandardSites(measure.CaseDefault)
 	rates := a.BlockRates(measure.CaseBlocking)
 	perCVE := db.PerStandard()
-	onePct := a.numSites() / 100
+	onePct := a.Agg.NumSites() / 100
 	if onePct < 1 {
 		onePct = 1
 	}
@@ -447,49 +366,8 @@ func (a *Analysis) Table2(db *cve.Database) []Table2Row {
 
 // NewStandardsPerRound computes Table 3: the average number of standards
 // first observed in each round of the default case, across measured sites.
-// Warm analyses read the incrementally folded per-round sums.
 func (a *Analysis) NewStandardsPerRound() []float64 {
-	if a.Agg != nil {
-		return a.Agg.NewStandardsPerRound()
-	}
-	cl := a.Log.Cases[measure.CaseDefault]
-	if cl == nil {
-		return nil
-	}
-	perRound := make([]float64, len(cl.Rounds))
-	measured := 0
-	for site := range a.Log.Domains {
-		if !a.Log.Measured[site] {
-			continue
-		}
-		visited := false
-		seen := make(map[standards.Abbrev]bool)
-		for round, rl := range cl.Rounds {
-			sf := rl.SiteFeatures[site]
-			if sf == nil {
-				continue
-			}
-			visited = true
-			newStd := 0
-			for id := 0; id < a.Log.NumFeatures; id++ {
-				if sf.Get(id) && !seen[a.stdOf[id]] {
-					seen[a.stdOf[id]] = true
-					newStd++
-				}
-			}
-			perRound[round] += float64(newStd)
-		}
-		if visited {
-			measured++
-		}
-	}
-	if measured == 0 {
-		return perRound
-	}
-	for i := range perRound {
-		perRound[i] /= float64(measured)
-	}
-	return perRound
+	return a.Agg.NewStandardsPerRound()
 }
 
 // HumanDelta compares one site's manually-observed standards against the

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cve"
 	"repro/internal/firefoxhist"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/standards"
 	"repro/internal/synthweb"
 	"repro/internal/webapi"
@@ -34,13 +36,13 @@ func surveyed(t testing.TB) (*synthweb.Web, *Analysis) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := crawler.New(web, webapi.NewBindings(reg), crawler.DefaultConfig(17))
-	log, _, err := c.Run()
+	eng := pipeline.New(web, webapi.NewBindings(reg), pipeline.Config{Shards: 1, WorkersPerShard: 4, Crawl: crawler.DefaultConfig(17)})
+	res, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharedWeb = web
-	sharedAna = New(log, reg)
+	sharedAna = NewWarm(res.Log, res.Agg, reg)
 	sharedHist = firefoxhist.New(reg)
 	return web, sharedAna
 }

@@ -5,21 +5,20 @@
 // Figure 6), CVE association (Table 2), and the internal/external
 // validation statistics (§6).
 //
-// An Analysis is built three ways. New(log, reg) is the cold path: every
-// aggregate statistic is derived by scanning the measure.Log (once, then
-// memoized). FromStats(agg, reg) is the warm path: the statistics are read
-// straight from a mergeable stats.Aggregate that the pipeline maintained
-// while the survey ran — or that stats.FromSpills folded from spill files —
-// with no log and no rescan; the per-site methods (SiteStandards,
-// VisitWeightedPopularity, HumanDelta) then degrade to nil. NewWarm(log,
-// agg, reg) combines both: warm aggregate statistics plus log-backed
-// per-site queries. Warm and cold construction return identical results
-// for every aggregate method (enforced by TestWarmAnalysisMatchesCold).
+// Every aggregate statistic is read from a warm stats.Source: the mergeable
+// stats.Aggregate the pipeline maintained while the survey ran, one that
+// stats.FromSpills folded from spill files or stats.FromLog from a saved
+// log, or an epoch snapshot of one — never from a rescan of the log.
+// FromStats(src, reg) builds an analysis from that source alone; the
+// per-site methods (SiteStandards, VisitWeightedPopularity, HumanDelta),
+// which need the full measure.Log, then return nil. NewWarm(log, src, reg)
+// attaches the log for them. stats.TestAggregateMatchesColdScan checks
+// every aggregate the source maintains against a scan of the log.
 //
 // Analysis consumes only measured data — never the synthetic web's
-// calibration profile — so the same code analyzes logs from the sequential
-// crawler, the sharded internal/pipeline engine, a CSV written by an
-// earlier run, or the merged spill stream of a spill-only survey.
+// calibration profile — so the same code analyzes a live survey, a CSV
+// written by an earlier run, or the merged spill stream of a spill-only
+// survey.
 // TopFeatures and FeatureDeltas render the headline tables the
 // cmd/pipeline binary prints: per-feature popularity and the per-feature
 // usage drops caused by content blocking.

@@ -37,13 +37,12 @@ type Config struct {
 	// Cases lists the browser configurations; nil means all four
 	// (default, blocking, ad-only, tracker-only).
 	Cases []measure.Case
-	// Parallelism is the crawl worker count; 0 means 4. It applies to
-	// the sequential crawler (Shards == 0) and, divided across shards,
-	// to the pipeline when ShardWorkers is unset.
+	// Parallelism is the total crawl worker budget; 0 means 4. When
+	// ShardWorkers is unset it is divided across the shards.
 	Parallelism int
-	// Shards routes the survey through the sharded internal/pipeline
-	// engine with this many site partitions; 0 keeps the sequential
-	// crawler loop. Both paths produce identical logs for a seed.
+	// Shards is the number of site partitions of the internal/pipeline
+	// survey engine; 0 or less means 1. The log is identical at every
+	// geometry for a seed.
 	Shards int
 	// ShardWorkers is the number of browser workers per shard; 0 derives
 	// it from Parallelism as a total budget the engine never exceeds.
@@ -62,20 +61,18 @@ type Config struct {
 	// auto-detects, so the format only matters when writing.
 	LogFormat string
 	// CacheDir, when non-empty, memoizes visit outcomes on disk so
-	// re-runs with overlapping configs skip completed visits. The cache
-	// is consulted by the sharded pipeline engine (Shards > 0).
+	// re-runs with overlapping configs skip completed visits.
 	CacheDir string
-	// SpillDir, when non-empty, streams each pipeline shard's completed
-	// visits to a spill file in this directory (Shards > 0 only);
-	// logstore.ReadSpillFiles reassembles them into the full log and
-	// stats.FromSpills folds them into a warm aggregate.
+	// SpillDir, when non-empty, streams each shard's completed visits to
+	// a spill file in this directory; logstore.ReadSpillFiles reassembles
+	// them into the full log and stats.FromSpills folds them into a warm
+	// aggregate.
 	SpillDir string
-	// SpillOnly drops the in-memory log (Shards > 0 only): each shard
-	// folds its visits into a mergeable stats aggregate, Results.Log is
-	// nil, and memory stays bounded regardless of site count. Aggregate
-	// statistics — and so every headline table — are identical to an
-	// in-memory run's. Combine with SpillDir to keep the full log on
-	// disk.
+	// SpillOnly drops the in-memory log: each shard folds its visits into
+	// a mergeable stats aggregate, Results.Log is nil, and memory stays
+	// bounded regardless of site count. Aggregate statistics — and so
+	// every headline table — are identical to an in-memory run's.
+	// Combine with SpillDir to keep the full log on disk.
 	SpillOnly bool
 	// CacheMaxBytes caps the visit cache's on-disk size; once entries
 	// exceed it the least-recently-used are pruned (a manifest in the
@@ -95,15 +92,6 @@ type Config struct {
 	// fault-injection tests wrap each shard's spill file writer to tear
 	// writes at deterministic points. Production runs leave it nil.
 	SpillTap func(shard int, w io.Writer) io.Writer
-	// DisableBrowserReuse, DisableScriptCompile, and DisableMatcherIndex
-	// are ablation/debugging knobs forwarding to the matching
-	// crawler.Config fields: respectively they disable the browser's
-	// revisit fast path, the compiled-WebScript execution path, and the
-	// ABP matcher's rule index. Survey logs are byte-identical with any
-	// combination (test-enforced).
-	DisableBrowserReuse  bool
-	DisableScriptCompile bool
-	DisableMatcherIndex  bool
 }
 
 // Study is a fully constructed experiment environment.
@@ -129,8 +117,7 @@ type Results struct {
 	Log   *measure.Log
 	Stats *crawler.Stats
 	// Agg is the warm statistics source — the mergeable aggregate
-	// maintained while the survey ran, or an immutable snapshot of one;
-	// nil for the sequential engine, which records straight into the log.
+	// maintained while the survey ran, or an immutable snapshot of one.
 	Agg      stats.Source
 	Analysis *analysis.Analysis
 	// Resumed counts the sites replayed from a previous crashed life's
@@ -156,11 +143,8 @@ func NewStudy(cfg Config) (*Study, error) {
 	if cfg.HumanSample == 0 {
 		cfg.HumanSample = 92
 	}
-	if cfg.SpillOnly && cfg.Shards <= 0 {
-		return nil, fmt.Errorf("core: spill-only mode requires the pipeline engine (Shards > 0)")
-	}
-	if cfg.Resume && (cfg.SpillDir == "" || cfg.Shards <= 0) {
-		return nil, fmt.Errorf("core: resume requires a spill directory and the pipeline engine (Shards > 0)")
+	if cfg.Resume && cfg.SpillDir == "" {
+		return nil, fmt.Errorf("core: resume requires a spill directory")
 	}
 
 	if cfg.LogFormat == "" {
@@ -213,7 +197,7 @@ func (s *Study) Close() error {
 	return nil
 }
 
-// crawler builds the configured sequential crawler.
+// crawler builds the per-visit mechanics external validation drives.
 func (s *Study) crawler() *crawler.Crawler {
 	c := crawler.New(s.Web, s.Bindings, s.crawlConfig())
 	if s.server != nil {
@@ -223,15 +207,11 @@ func (s *Study) crawler() *crawler.Crawler {
 	return c
 }
 
-// crawlConfig is the survey methodology shared by both execution engines.
+// crawlConfig is the study's survey methodology.
 func (s *Study) crawlConfig() crawler.Config {
 	ccfg := crawler.DefaultConfig(s.Cfg.Seed)
 	ccfg.Rounds = s.Cfg.Rounds
 	ccfg.Cases = s.Cfg.Cases
-	ccfg.Parallelism = s.Cfg.Parallelism
-	ccfg.DisableBrowserReuse = s.Cfg.DisableBrowserReuse
-	ccfg.DisableScriptCompile = s.Cfg.DisableScriptCompile
-	ccfg.DisableMatcherIndex = s.Cfg.DisableMatcherIndex
 	return ccfg
 }
 
@@ -248,70 +228,62 @@ func (s *Study) cacheScope() string {
 		ccfg.PathNoveltyPreference, ccfg.WithCredentials)
 }
 
-// RunSurvey executes the full automated survey, through the sharded
-// pipeline engine when Cfg.Shards > 0 and the sequential crawler otherwise.
+// RunSurvey executes the full automated survey on the internal/pipeline
+// engine.
 func (s *Study) RunSurvey() (*Results, error) {
 	return s.RunSurveyContext(context.Background())
 }
 
-// RunSurveyContext is RunSurvey with cancellation; the context only applies
-// to the pipeline path (the sequential crawler has no cancellation points).
+// RunSurveyContext is RunSurvey with cancellation.
 func (s *Study) RunSurveyContext(ctx context.Context) (*Results, error) {
-	if s.Cfg.Shards > 0 {
-		eng := s.pipeline()
-		resumed := 0
-		if s.Cfg.Resume {
-			// Fold whatever the previous life durably committed — whole
-			// shard files and the valid prefixes of torn .partial ones —
-			// into one clean stream, replay it, and crawl the rest.
-			comp, err := logstore.CompactSpillDir(s.Cfg.SpillDir, len(s.Registry.Features), s.domains())
-			if err != nil {
-				return nil, fmt.Errorf("core: scanning spill dir for resume: %w", err)
-			}
-			if len(comp.Committed) > 0 {
-				committed := make(map[int]bool, len(comp.Committed))
-				for _, site := range comp.Committed {
-					committed[site] = true
-				}
-				remainder := make([]int, 0, len(s.Web.Sites)-len(comp.Committed))
-				for i := range s.Web.Sites {
-					if !committed[i] {
-						remainder = append(remainder, i)
-					}
-				}
-				eng.Cfg.ResumeSpills = []string{comp.Path}
-				eng.Cfg.Sites = remainder
-				resumed = len(comp.Committed)
-			}
-		}
-		res, err := eng.Run(ctx)
+	eng := s.pipeline()
+	resumed := 0
+	if s.Cfg.Resume {
+		// Fold whatever the previous life durably committed — whole
+		// shard files and the valid prefixes of torn .partial ones —
+		// into one clean stream, replay it, and crawl the rest.
+		comp, err := logstore.CompactSpillDir(s.Cfg.SpillDir, len(s.Registry.Features), s.domains())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: scanning spill dir for resume: %w", err)
 		}
-		// The engine maintained a mergeable aggregate alongside the
-		// crawl, so analysis starts warm — no log rescan. Spill-only
-		// runs have no log at all; per-site queries then return nil.
-		var a *analysis.Analysis
-		if res.Log != nil {
-			a = analysis.NewWarm(res.Log, res.Agg, s.Registry)
-		} else {
-			a = analysis.FromStats(res.Agg, s.Registry)
+		if len(comp.Committed) > 0 {
+			committed := make(map[int]bool, len(comp.Committed))
+			for _, site := range comp.Committed {
+				committed[site] = true
+			}
+			remainder := make([]int, 0, len(s.Web.Sites)-len(comp.Committed))
+			for i := range s.Web.Sites {
+				if !committed[i] {
+					remainder = append(remainder, i)
+				}
+			}
+			eng.Cfg.ResumeSpills = []string{comp.Path}
+			eng.Cfg.Sites = remainder
+			resumed = len(comp.Committed)
 		}
-		return &Results{Log: res.Log, Stats: res.Stats, Agg: res.Agg, Analysis: a, Resumed: resumed}, nil
 	}
-	log, stats, err := s.crawler().Run()
+	res, err := eng.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Results{Log: log, Stats: stats, Analysis: analysis.New(log, s.Registry)}, nil
+	// The engine maintained a mergeable aggregate alongside the crawl,
+	// so analysis starts warm — no log rescan. Spill-only runs have no
+	// log at all; per-site queries then return nil.
+	return &Results{
+		Log:      res.Log,
+		Stats:    res.Stats,
+		Agg:      res.Agg,
+		Analysis: analysis.NewWarm(res.Log, res.Agg, s.Registry),
+		Resumed:  resumed,
+	}, nil
 }
 
-// pipeline builds the configured sharded engine. When ShardWorkers is
+// pipeline builds the configured survey engine. When ShardWorkers is
 // unset, Parallelism (0 meaning 4) is treated as the total worker budget:
 // shards collapse to at most Parallelism and each gets its floor share, so
 // the engine never runs more concurrent workers than asked for.
 func (s *Study) pipeline() *pipeline.Engine {
-	shards := s.Cfg.Shards
+	shards := max(s.Cfg.Shards, 1)
 	workers := s.Cfg.ShardWorkers
 	if workers <= 0 {
 		par := s.Cfg.Parallelism
@@ -373,8 +345,8 @@ func (s *Study) Spec() ([]byte, error) {
 // StudyFromSpec builds a worker's study from a coordinator's spec. The
 // spec's methodology fields override opts; opts supplies the worker-local
 // engine configuration (Shards, ShardWorkers, CacheDir, …). The returned
-// study always runs the pipeline engine in spill-only mode — a distributed
-// worker is exactly a spill-only shard.
+// study always runs in spill-only mode — a distributed worker is exactly a
+// spill-only shard.
 func StudyFromSpec(data []byte, opts Config) (*Study, error) {
 	var sp spec
 	if err := json.Unmarshal(data, &sp); err != nil {
@@ -387,9 +359,6 @@ func StudyFromSpec(data []byte, opts Config) (*Study, error) {
 	opts.Seed = sp.Seed
 	opts.Rounds = sp.Rounds
 	opts.Cases = sp.Cases
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
 	opts.SpillOnly = true
 	opts.SpillDir = ""
 	return NewStudy(opts)
@@ -441,6 +410,22 @@ func (s *Study) AggregateResults(src stats.Source) *Results {
 		Agg:      src,
 		Analysis: analysis.FromStats(src, s.Registry),
 	}
+}
+
+// ResultsFromLog rebuilds the Results of a saved survey log — the
+// cmd/report -log path. The log is folded into a warm aggregate with
+// stats.FromLog, so every aggregate artifact is read from the same source
+// a live survey uses; the log stays attached for the per-site artifacts.
+// The log must come from a survey of this study (same sites, same seed).
+func (s *Study) ResultsFromLog(log *measure.Log) (*Results, error) {
+	agg, err := stats.FromLog(log, stats.StandardsOf(s.Registry), s.Cfg.Cases)
+	if err != nil {
+		return nil, fmt.Errorf("core: folding log: %w", err)
+	}
+	res := s.AggregateResults(agg)
+	res.Log = log
+	res.Analysis = analysis.NewWarm(log, agg, s.Registry)
+	return res, nil
 }
 
 // SpillGlob expands a spill-file glob in deterministic (sorted) order. A

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/analysis"
-	"repro/internal/crawler"
 	"repro/internal/measure"
 )
 
@@ -12,12 +10,9 @@ import (
 // cmd/report -log does.
 func resultsFromLog(t testing.TB, s *Study, log *measure.Log) *Results {
 	t.Helper()
-	st := &crawler.Stats{DomainsMeasured: log.MeasuredCount()}
-	st.DomainsFailed = len(log.Domains) - st.DomainsMeasured
-	for _, cl := range log.Cases {
-		st.PagesVisited += cl.PagesVisited
-		st.Invocations += cl.Invocations
+	res, err := s.ResultsFromLog(log)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st.InteractionSeconds = float64(st.PagesVisited) * 30
-	return &Results{Log: log, Stats: st, Analysis: analysis.New(log, s.Registry)}
+	return res
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/logstore"
 	"repro/internal/measure"
 )
@@ -44,7 +43,7 @@ func testLogRoundTrip(t *testing.T, study *Study, results *Results, codec logsto
 	}
 
 	a1 := results.Analysis
-	a2 := analysis.New(restored, study.Registry)
+	a2 := resultsFromLog(t, study, restored).Analysis
 
 	s1 := a1.StandardSites(measure.CaseDefault)
 	s2 := a2.StandardSites(measure.CaseDefault)

@@ -8,13 +8,12 @@
 // (§4.3.1), and the §7.3 closed-web mode authenticates members-area
 // navigations.
 //
-// The package exposes two levels of API. Crawler.Run is the self-contained
-// sequential survey loop. Visitor (via Crawler.NewVisitor) is the
-// single-visit mechanics — browser stack construction, monkey testing, BFS
-// page sampling — that external schedulers drive; internal/pipeline uses it
-// to run the same survey sharded across worker pools. Both derive per-visit
-// randomness from VisitSeed, which is what makes the two execution engines
-// produce identical logs.
+// The package holds the per-visit mechanics only. Visitor (via
+// Crawler.NewVisitor) builds the browser stack, monkey-tests pages and
+// samples the site breadth-first; Visitor.CrawlOnce performs one visit.
+// Scheduling belongs to internal/pipeline, which drives Visitors across
+// shards and worker pools. Every visit draws its randomness from VisitSeed,
+// so the log is the same at every engine geometry.
 //
 // Crawler.HumanVisit implements the paper's external-validation protocol
 // (§6.2): 90 seconds of scripted casual browsing across three pages.

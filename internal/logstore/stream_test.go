@@ -90,7 +90,7 @@ func TestSpillRoundTrip(t *testing.T) {
 
 // TestSpillFailureUnmeasures pins the failed-site semantics: a site with
 // observations and a later failed visit is unmeasurable, like the
-// sequential crawler's bookkeeping.
+// measure.Log's bookkeeping.
 func TestSpillFailureUnmeasures(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, 10, []string{"x.example"})

@@ -20,8 +20,8 @@ func benchCrawlConfig() crawler.Config {
 	return cfg
 }
 
-// BenchmarkSequentialCrawl is the baseline: the crawler's own loop with one
-// worker, the execution the paper's single-machine survey models.
+// BenchmarkSequentialCrawl is the baseline: the sequential reference loop
+// (sequentialCrawl), the execution the paper's single-machine survey models.
 //
 // Alloc note (90 sites × 4 cases × 2 rounds = 720 visits, linux/amd64):
 // interning the per-visit scratch — the feature-count, visited-URL, and
@@ -39,12 +39,10 @@ func benchCrawlConfig() crawler.Config {
 func BenchmarkSequentialCrawl(b *testing.B) {
 	setup(b)
 	cfg := benchCrawlConfig()
-	cfg.Parallelism = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := crawler.New(testWeb, testBind, cfg)
-		if _, _, err := c.Run(); err != nil {
+		if _, _, err := sequentialCrawl(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,10 +31,10 @@
 // Determinism is the engine's contract: because visit randomness depends
 // only on (seed, site, case, round) and every aggregate cell is written by
 // at most one visit — all cross-visit state being commutative bit-set
-// unions and integer sums — the final measure.Log is byte-identical to the
-// sequential crawler.Run loop for the same seed, at every shard/worker
-// geometry, and a spill-only run renders byte-identical reports.
-// TestPipelineMatchesSequential and TestSpillOnlyMatchesInMemory enforce
+// unions and integer sums — the final measure.Log is byte-identical at
+// every shard/worker geometry for the same seed, and a spill-only run
+// renders byte-identical reports. TestPipelineMatchesSequential (against a
+// plain sequential CrawlOnce loop) and TestSpillOnlyMatchesInMemory enforce
 // this.
 //
 // Two Config fields exist for the distributed protocol (internal/dist):

@@ -17,7 +17,8 @@ import (
 )
 
 // Shared small study: 90 sites, full methodology, fixed seed. The sequential
-// baseline is computed once and every pipeline variant is compared to it.
+// baseline (sequentialCrawl) is computed once and every pipeline variant is
+// compared to it.
 var (
 	setupOnce sync.Once
 	setupErr  error
@@ -47,24 +48,67 @@ func setup(t testing.TB) {
 			return
 		}
 		testBind = webapi.NewBindings(reg)
-		seq := crawler.New(testWeb, testBind, sequentialConfig())
-		baseLog, baseStats, err = seq.Run()
-		if err != nil {
-			setupErr = err
-			return
-		}
+		baseLog, baseStats, err = sequentialCrawl(sequentialConfig())
 	})
 	if setupErr != nil {
 		t.Fatal(setupErr)
 	}
 }
 
-// sequentialConfig is the paper methodology with one worker: the reference
-// execution order.
+// sequentialConfig is the paper methodology of the reference survey.
 func sequentialConfig() crawler.Config {
-	cfg := crawler.DefaultConfig(testSeed)
-	cfg.Parallelism = 1
-	return cfg
+	return crawler.DefaultConfig(testSeed)
+}
+
+// sequentialCrawl is the reference survey the engine must reproduce: one
+// Visitor per case, every site in index order, every case, every round, each
+// visit recorded straight into a measure.Log. A failed visit marks the site
+// unmeasured and skips the rest of that case's rounds.
+func sequentialCrawl(cfg crawler.Config) (*measure.Log, *crawler.Stats, error) {
+	if len(cfg.Cases) == 0 {
+		cfg.Cases = measure.AllCases()
+	}
+	c := crawler.New(testWeb, testBind, cfg)
+	visitors := make(map[measure.Case]*crawler.Visitor)
+	for _, cs := range cfg.Cases {
+		v, err := c.NewVisitor(cs)
+		if err != nil {
+			return nil, nil, err
+		}
+		visitors[cs] = v
+	}
+	domains := make([]string, len(testWeb.Sites))
+	for i, site := range testWeb.Sites {
+		domains[i] = site.Domain
+	}
+	log := measure.NewLog(len(testWeb.Registry.Features), domains)
+	st := &crawler.Stats{}
+	failed := make([]bool, len(testWeb.Sites))
+	for _, site := range testWeb.Sites {
+		for _, cs := range cfg.Cases {
+			for round := 0; round < cfg.Rounds; round++ {
+				counts, pages, err := visitors[cs].CrawlOnce(site, crawler.VisitSeed(cfg.Seed, site.Index, cs, round))
+				if err != nil {
+					failed[site.Index] = true
+					break
+				}
+				log.Record(cs, round, site.Index, counts, pages)
+				st.PagesVisited += int64(pages)
+				st.InteractionSeconds += float64(pages) * cfg.PageSeconds
+				for _, n := range counts {
+					st.Invocations += n
+				}
+			}
+		}
+	}
+	for site, f := range failed {
+		if f {
+			log.Measured[site] = false
+		}
+	}
+	st.DomainsMeasured = log.MeasuredCount()
+	st.DomainsFailed = len(testWeb.Sites) - st.DomainsMeasured
+	return log, st, nil
 }
 
 func csvBytes(t testing.TB, l *measure.Log) []byte {
@@ -78,7 +122,8 @@ func csvBytes(t testing.TB, l *measure.Log) []byte {
 
 // TestPipelineMatchesSequential is the determinism guarantee: the sharded
 // engine's aggregate, serialized, is byte-identical to the sequential
-// crawler's log for the same seed, across several shard/worker geometries.
+// reference loop's log for the same seed, across several shard/worker
+// geometries.
 func TestPipelineMatchesSequential(t *testing.T) {
 	setup(t)
 	want := csvBytes(t, baseLog)
@@ -128,7 +173,7 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 	setup(t)
 	cfg := sequentialConfig()
 	cfg.DisableBrowserReuse = true
-	slowLog, slowStats, err := crawler.New(testWeb, testBind, cfg).Run()
+	slowLog, slowStats, err := sequentialCrawl(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +207,7 @@ func TestExecutionAblationsMatchBaseline(t *testing.T) {
 			cfg := sequentialConfig()
 			cfg.DisableScriptCompile = m.noCompile
 			cfg.DisableMatcherIndex = m.noIndex
-			log, stats, err := crawler.New(testWeb, testBind, cfg).Run()
+			log, stats, err := sequentialCrawl(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,7 +391,7 @@ func TestPipelineCache(t *testing.T) {
 	}
 }
 
-// TestPipelineRejectsInvalidConfig mirrors the crawler's validation.
+// TestPipelineRejectsInvalidConfig requires a zero crawl config to fail.
 func TestPipelineRejectsInvalidConfig(t *testing.T) {
 	setup(t)
 	eng := New(testWeb, testBind, Config{})

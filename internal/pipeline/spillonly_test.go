@@ -23,7 +23,7 @@ import (
 // must agree on, byte for byte: Table 1, the feature popularity and
 // blocked-vs-unblocked headline tables, and the standard-level figures and
 // tables. (Figure 5 and Figure 9 are per-site artifacts; they need the full
-// log and are exercised by the cold path only.)
+// log and are exercised by the log-backed analyses only.)
 func renderHeadlines(a *analysis.Analysis, st *crawler.Stats, db *cve.Database, hist *firefoxhist.History) string {
 	var buf bytes.Buffer
 	report.Table1(&buf, st)
@@ -44,9 +44,21 @@ func renderHeadlines(a *analysis.Analysis, st *crawler.Stats, db *cve.Database, 
 	return buf.String()
 }
 
+// logAnalysis rebuilds an analysis from a measurement log alone, the way
+// cmd/report -log does: stats.FromLog scans the log into an aggregate,
+// and the log stays attached for the per-site queries.
+func logAnalysis(t testing.TB, log *measure.Log) *analysis.Analysis {
+	t.Helper()
+	agg, err := stats.FromLog(log, stats.StandardsOf(testWeb.Registry), sequentialConfig().Cases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return analysis.NewWarm(log, agg, testWeb.Registry)
+}
+
 // TestSpillOnlyMatchesInMemory is the spill-only acceptance test: at every
 // tested geometry, a spill-only run must render reports byte-identical to
-// the in-memory pipeline's (cold analysis of the baseline log), whether the
+// the sequential baseline's (analysis of the baseline log), whether the
 // warm analysis is built from the live merged shard aggregates or from the
 // spill files via stats.FromSpills — and the spill files must still
 // reassemble into the byte-identical full log.
@@ -54,10 +66,7 @@ func TestSpillOnlyMatchesInMemory(t *testing.T) {
 	setup(t)
 	db := cve.Generate(1)
 	hist := firefoxhist.New(testWeb.Registry)
-	cold := renderHeadlines(
-		analysis.New(baseLog, testWeb.Registry),
-		baseStats, db, hist,
-	)
+	cold := renderHeadlines(logAnalysis(t, baseLog), baseStats, db, hist)
 
 	geometries := []struct {
 		name    string
@@ -145,7 +154,7 @@ func TestSpillOnlyConcurrent(t *testing.T) {
 	if *res.Stats != *baseStats {
 		t.Errorf("concurrent spill-only stats = %+v, want %+v", *res.Stats, *baseStats)
 	}
-	cold := analysis.New(baseLog, testWeb.Registry)
+	cold := logAnalysis(t, baseLog)
 	warm := analysis.FromStats(res.Agg, testWeb.Registry)
 	if !reflect.DeepEqual(warm.FeatureSites(measure.CaseDefault), cold.FeatureSites(measure.CaseDefault)) {
 		t.Error("concurrent spill-only feature-site counts diverge from the baseline")
@@ -153,10 +162,12 @@ func TestSpillOnlyConcurrent(t *testing.T) {
 }
 
 // TestWarmAnalysisMatchesCold is the warm-start acceptance test: an
-// analysis built purely from the pipeline's stats aggregate must return
-// identical results to a cold analysis scanning the baseline log, across
-// every aggregate method — and an analysis holding both sources must agree
-// on the per-site methods too.
+// analysis built purely from the pipeline's live stats aggregate must
+// return identical results to one rebuilt from the sequential baseline log
+// (stats.FromLog), across every aggregate method — and an analysis holding
+// both sources must agree on the per-site methods too. The aggregate itself
+// is checked against direct scans of a log by
+// stats.TestAggregateMatchesColdScan.
 func TestWarmAnalysisMatchesCold(t *testing.T) {
 	setup(t)
 	eng := New(testWeb, testBind, Config{
@@ -173,7 +184,7 @@ func TestWarmAnalysisMatchesCold(t *testing.T) {
 	}
 
 	reg := testWeb.Registry
-	cold := analysis.New(baseLog, reg)
+	cold := logAnalysis(t, baseLog)
 	warm := analysis.FromStats(res.Agg, reg)
 	db := cve.Generate(1)
 	hist := firefoxhist.New(reg)
@@ -244,6 +255,6 @@ func TestWarmAnalysisMatchesCold(t *testing.T) {
 		t.Error("VisitWeightedPopularity diverges warm-with-log vs cold")
 	}
 	if !reflect.DeepEqual(both.Complexity(), cold.Complexity()) {
-		t.Error("Complexity diverges warm-with-log vs cold (site order should match)")
+		t.Error("Complexity diverges warm-with-log vs cold")
 	}
 }

@@ -8,8 +8,8 @@
 // The Aggregate is what makes two execution modes share one analysis path:
 //
 //   - Keep-log mode (Config.KeepLog) additionally retains every visit's
-//     feature set, so Log() can freeze the exact measure.Log the sequential
-//     crawler would have produced. Analysis built from the Aggregate starts
+//     feature set, so Log() can freeze the exact measure.Log a one-worker,
+//     site-by-site crawl would have produced. Analysis built from the Aggregate starts
 //     warm — no rescan — while per-site queries fall back to the Log.
 //
 //   - Spill-only mode drops the per-visit grid entirely: memory stays

@@ -11,9 +11,10 @@ import (
 // replaying every recorded visit through the same AddVisit/AddFailure/
 // EndSite path a live shard uses, then restoring the log's exact
 // invocation/page totals (a log keeps per-case sums, not per-visit ones).
-// The resulting aggregate answers every aggregate query identically to a
-// cold analysis of the same log — it is how the query server warms up from
-// a saved log instead of spill files.
+// The resulting aggregate answers every aggregate query identically to the
+// live aggregate of the survey that wrote the log — it is how the query
+// server and cmd/report -log (core.Study.ResultsFromLog) warm up from a
+// saved log instead of spill files.
 //
 // stdOf is the per-feature standard mapping (see StandardsOf) and must
 // match the log's corpus size. cases must cover every case the log holds; a

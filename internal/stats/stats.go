@@ -112,9 +112,9 @@ type openSite struct {
 // a survey. Producers feed it visits from many goroutines (calls for one
 // site must be ordered; see the package comment); afterwards its query
 // methods answer every aggregate question internal/analysis asks, and — in
-// keep-log mode — Log() freezes the exact measure.Log the sequential
-// crawler would have produced, because every grid cell is written by at
-// most one visit and all cross-visit state is commutative.
+// keep-log mode — Log() freezes the exact measure.Log a one-worker,
+// site-by-site crawl would have produced, because every grid cell is
+// written by at most one visit and all cross-visit state is commutative.
 type Aggregate struct {
 	cfg     Config
 	caseIdx map[measure.Case]int
@@ -142,7 +142,7 @@ type Aggregate struct {
 
 	// Keep-log state: features[caseIdx][round][site] is the visit's
 	// feature set (guarded by the site's stripe lock); recorded/failed
-	// reproduce the sequential crawler's Measured bookkeeping.
+	// carry the log's Measured bookkeeping.
 	features [][][]measure.Bitset
 	recorded []bool
 	failed   []bool
@@ -407,7 +407,7 @@ func (a *Aggregate) applyFailLocked(st *stripe, site int) {
 // standard-site increments, its default set drives the block-pair,
 // complexity, and new-standards tallies. Must hold foldMu.
 //
-// The tallies mirror the cold analysis scan exactly: union-based counts
+// The tallies mirror a scan of the full log exactly: union-based counts
 // include partially measured (failed) sites, while complexity and
 // new-standards-per-round count only measured sites, and every site with a
 // default-case observation contributes to the block pairs — a case with no
@@ -631,8 +631,8 @@ func (a *Aggregate) Totals() (invocations, pages int64) {
 	return invocations, pages
 }
 
-// Log freezes a keep-log aggregate into a measure.Log identical to the one
-// the sequential crawler produces for the same seed: per-case round counts
+// Log freezes a keep-log aggregate into the survey's measure.Log, the same
+// at every engine geometry for a seed: per-case round counts
 // grow only as far as data was recorded, and a site is Measured exactly
 // when it produced at least one observation and never failed a visit. It
 // returns nil for spill-only aggregates, which never held the grid.

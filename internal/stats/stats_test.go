@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/logstore"
@@ -213,6 +214,55 @@ func TestAggregateMatchesColdScan(t *testing.T) {
 	// An untracked case blocks everything, matching a log it never reached.
 	if got := agg.BlockedSites(measure.CaseGhostery); !reflect.DeepEqual(got, wantStd) {
 		t.Errorf("BlockedSites(untracked) = %v, want default counts %v", got, wantStd)
+	}
+
+	// Figure 8: per measured site with default observations, the number of
+	// standards it used. The aggregate keeps only tallies, so compare the
+	// multisets.
+	var wantComplexity []int
+	for site := 0; site < tNumSites; site++ {
+		if set := siteSet(measure.CaseDefault, site); log.Measured[site] && set != nil {
+			wantComplexity = append(wantComplexity, len(set))
+		}
+	}
+	sort.Ints(wantComplexity)
+	if got := agg.Complexity(); !reflect.DeepEqual(got, wantComplexity) {
+		t.Errorf("Complexity = %v, cold scan %v", got, wantComplexity)
+	}
+
+	// Table 3: standards first seen in each default-case round, averaged
+	// over measured sites that were visited.
+	cl := log.Cases[measure.CaseDefault]
+	wantNSP := make([]float64, len(cl.Rounds))
+	visitedSites := 0
+	for site := 0; site < tNumSites; site++ {
+		if !log.Measured[site] {
+			continue
+		}
+		visited := false
+		seen := make(map[standards.Abbrev]bool)
+		for round, rl := range cl.Rounds {
+			sf := rl.SiteFeatures[site]
+			if sf == nil {
+				continue
+			}
+			visited = true
+			for id := 0; id < tNumFeatures; id++ {
+				if sf.Get(id) && !seen[stdOf[id]] {
+					seen[stdOf[id]] = true
+					wantNSP[round]++
+				}
+			}
+		}
+		if visited {
+			visitedSites++
+		}
+	}
+	for i := range wantNSP {
+		wantNSP[i] /= float64(visitedSites)
+	}
+	if got := agg.NewStandardsPerRound(); !reflect.DeepEqual(got, wantNSP) {
+		t.Errorf("NewStandardsPerRound = %v, cold scan %v", got, wantNSP)
 	}
 }
 
