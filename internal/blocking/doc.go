@@ -24,8 +24,8 @@
 // — never from net/url's parse, because "||" anchoring can legitimately
 // land inside userinfo that a structured parse would strip. Exception
 // buckets are consulted before block buckets, mirroring ABP's
-// scan-order-independent semantics. DisableIndex routes decisions through
-// the retained linear scan — an ablation knob; index and scan agree on
-// every request (fuzz- and oracle-test-enforced, byte-identical survey
-// logs either way).
+// scan-order-independent semantics. The all-lists × all-rules linear scan
+// the index replaced is a test-only reference (linear_test.go); index and
+// scan agree on every request of a synthetic web's pages and on fuzzed
+// lists and requests.
 package blocking

@@ -430,12 +430,6 @@ func isSeparator(c byte) bool {
 type Engine struct {
 	lists []*List
 	idx   ruleIndex
-
-	// DisableIndex routes ShouldBlock through the pre-index all-lists ×
-	// all-rules linear scan. The scan is the differential oracle the index
-	// is tested against (FuzzShouldBlockIndexMatchesLinear, the pipeline
-	// ablation tests); it is not a supported production path.
-	DisableIndex bool
 }
 
 // NewEngine builds an engine over the given lists.
@@ -461,32 +455,10 @@ func (e *Engine) AddList(l *List) {
 // matches and no exception rule does. The result is scan-order independent —
 // any matching exception wins outright — which is what lets the indexed path
 // consult exception buckets first and block buckets second while agreeing
-// with the linear scan on every request.
+// with the all-rules linear scan (the test-only reference) on every request.
 func (e *Engine) ShouldBlock(req Request) bool {
 	m := newMatchCtx(&req)
-	if e.DisableIndex {
-		return e.shouldBlockLinear(&m)
-	}
 	return e.idx.shouldBlock(&m)
-}
-
-// shouldBlockLinear is the original full scan, kept as the oracle for
-// DisableIndex differential runs.
-func (e *Engine) shouldBlockLinear(m *matchCtx) bool {
-	blocked := false
-	for _, l := range e.lists {
-		for i := range l.Rules {
-			r := &l.Rules[i]
-			if !r.matches(m) {
-				continue
-			}
-			if r.Exception {
-				return false
-			}
-			blocked = true
-		}
-	}
-	return blocked
 }
 
 // HideSelectors returns the element-hiding selectors applicable to a page

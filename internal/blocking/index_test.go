@@ -7,22 +7,19 @@ import (
 	"testing"
 )
 
-// engines builds an indexed engine and its linear-scan twin over the same
-// parsed lists.
-func engines(t testing.TB, texts ...string) (indexed, linear *Engine) {
+// engineOf builds an engine over the parsed lists; tests compare its
+// indexed ShouldBlock with shouldBlockLinear over the same lists.
+func engineOf(t testing.TB, texts ...string) *Engine {
 	t.Helper()
-	indexed = NewEngine()
-	linear = NewEngine()
-	linear.DisableIndex = true
+	e := NewEngine()
 	for i, text := range texts {
 		l, err := ParseList(fmt.Sprintf("list-%d", i), text)
 		if err != nil {
 			t.Fatalf("ParseList: %v", err)
 		}
-		indexed.AddList(l)
-		linear.AddList(l)
+		e.AddList(l)
 	}
-	return indexed, linear
+	return e
 }
 
 // indexRuleFragments spans every bucket class: domain-anchored rules (safe
@@ -101,11 +98,11 @@ func TestIndexMatchesLinear(t *testing.T) {
 			}
 			texts = append(texts, b.String())
 		}
-		indexed, linear := engines(t, texts...)
+		e := engineOf(t, texts...)
 		for _, u := range indexTestURLs {
 			for _, ph := range indexTestPageHosts {
 				req := Request{URL: u, PageHost: ph, Type: types[rng.Intn(len(types))]}
-				got, want := indexed.ShouldBlock(req), linear.ShouldBlock(req)
+				got, want := e.ShouldBlock(req), shouldBlockLinear(e, req)
 				if got != want {
 					t.Fatalf("trial %d: url=%q pageHost=%q type=%d: indexed=%v linear=%v\nlists:\n%s",
 						trial, u, ph, req.Type, got, want, strings.Join(texts, "---\n"))
@@ -119,7 +116,7 @@ func TestIndexMatchesLinear(t *testing.T) {
 // check through MakeRequest, so the precomputed host/third-party fields
 // carry the same decisions as the on-the-fly ones.
 func TestIndexMatchesLinearMakeRequest(t *testing.T) {
-	indexed, linear := engines(t, strings.Join(indexRuleFragments, "\n"))
+	e := engineOf(t, strings.Join(indexRuleFragments, "\n"))
 	for _, u := range indexTestURLs {
 		for _, ph := range indexTestPageHosts {
 			pre := MakeRequest(u, ph, ResourceScript)
@@ -128,7 +125,7 @@ func TestIndexMatchesLinearMakeRequest(t *testing.T) {
 				t.Fatalf("MakeRequest(%q,%q) derivations diverge: host %q vs %q, tp %v vs %v",
 					u, ph, pre.Host(), lazy.Host(), pre.ThirdParty(), lazy.ThirdParty())
 			}
-			if got, want := indexed.ShouldBlock(pre), linear.ShouldBlock(lazy); got != want {
+			if got, want := e.ShouldBlock(pre), shouldBlockLinear(e, lazy); got != want {
 				t.Fatalf("url=%q pageHost=%q: indexed(MakeRequest)=%v linear=%v", u, ph, got, want)
 			}
 		}
@@ -148,16 +145,14 @@ func FuzzShouldBlockIndexMatchesLinear(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		indexed := NewEngine(l)
-		linear := NewEngine(l)
-		linear.DisableIndex = true
+		e := NewEngine(l)
 		req := Request{URL: rawURL, PageHost: pageHost, Type: ResourceType(rtype)}
-		if got, want := indexed.ShouldBlock(req), linear.ShouldBlock(req); got != want {
+		if got, want := e.ShouldBlock(req), shouldBlockLinear(e, req); got != want {
 			t.Fatalf("list %q url %q pageHost %q type %d: indexed=%v linear=%v",
 				listText, rawURL, pageHost, rtype, got, want)
 		}
 		pre := MakeRequest(rawURL, pageHost, ResourceType(rtype))
-		if got, want := indexed.ShouldBlock(pre), linear.ShouldBlock(pre); got != want {
+		if got, want := e.ShouldBlock(pre), shouldBlockLinear(e, pre); got != want {
 			t.Fatalf("list %q url %q (MakeRequest): indexed=%v linear=%v", listText, rawURL, got, want)
 		}
 	})
@@ -252,8 +247,8 @@ func TestAuthorityKeysUserinfo(t *testing.T) {
 	if !r.Matches(req) {
 		t.Fatal("matcher no longer anchors into userinfo; update the index key derivation notes")
 	}
-	indexed, linear := engines(t, "||ads.example^")
-	if got, want := indexed.ShouldBlock(req), linear.ShouldBlock(req); got != want {
+	e := engineOf(t, "||ads.example^")
+	if got, want := e.ShouldBlock(req), shouldBlockLinear(e, req); got != want {
 		t.Fatalf("userinfo URL: indexed=%v linear=%v", got, want)
 	}
 }
@@ -280,24 +275,16 @@ var benchRequests = []Request{
 	MakeRequest("http://cdn-02.example/style.css", "pub-02.example", ResourceStylesheet),
 }
 
-// BenchmarkShouldBlock contrasts the tokenized index with the linear scan
-// on a synthetic-shaped list (bench-smoke in CI).
+// BenchmarkShouldBlock times the tokenized index on a synthetic-shaped list
+// (bench-smoke in CI).
 func BenchmarkShouldBlock(b *testing.B) {
 	l, err := ParseList("bench", benchFilterList())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"indexed", false}, {"linear", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := NewEngine(l)
-			e.DisableIndex = mode.disable
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e.ShouldBlock(benchRequests[i%len(benchRequests)])
-			}
-		})
+	e := NewEngine(l)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.ShouldBlock(benchRequests[i%len(benchRequests)])
 	}
 }

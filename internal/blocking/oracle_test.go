@@ -68,17 +68,14 @@ func TestMatcherAgreesWithRegexpOracle(t *testing.T) {
 			t.Fatalf("rule %q vs url %q: matcher=%v oracle=%v (oracle regexp %s)",
 				patText, u, got, want, oracle)
 		}
-		// Both engine paths — the tokenized index and the linear scan —
-		// must agree with the oracle too: a one-rule engine blocks exactly
-		// when the rule matches.
-		list := &List{Name: "oracle", Rules: []Rule{rule}}
-		indexed := NewEngine(list)
-		linear := NewEngine(list)
-		linear.DisableIndex = true
-		if ib := indexed.ShouldBlock(req); ib != want {
+		// The tokenized index and the linear scan must agree with the
+		// oracle too: a one-rule engine blocks exactly when the rule
+		// matches.
+		e := NewEngine(&List{Name: "oracle", Rules: []Rule{rule}})
+		if ib := e.ShouldBlock(req); ib != want {
 			t.Fatalf("rule %q vs url %q: indexed engine=%v oracle=%v", patText, u, ib, want)
 		}
-		if lb := linear.ShouldBlock(req); lb != want {
+		if lb := shouldBlockLinear(e, req); lb != want {
 			t.Fatalf("rule %q vs url %q: linear engine=%v oracle=%v", patText, u, lb, want)
 		}
 	}

@@ -39,40 +39,54 @@ func (m *benchMeasurer) OnDOMReady(p *Page) {
 // BenchmarkLoadRepeatVisit measures the survey's dominant operation: loading
 // a URL the browser has already visited, with measuring instrumentation
 // installed — the shape of every visit after the first in an 11-case ×
-// 10-round methodology. The fastpath variant exercises the template cache,
-// arena cloning, and page/runtime recycling; the slowpath variant re-fetches,
-// re-parses, and re-instruments per load (the DisableReuse ablation — it
-// still benefits from script-parse caching and precompiled selectors, so
-// it is a conservative baseline, slightly faster than the true seed
-// behavior). The acceptance criterion for the fast path is a ≥40%
-// allocs/op reduction over slowpath.
+// 10-round methodology. It exercises the template cache, arena cloning, and
+// page/runtime recycling.
 func BenchmarkLoadRepeatVisit(b *testing.B) {
 	e := env(b)
 	url := "http://" + e.site.Domain + "/"
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"fastpath", false}, {"slowpath", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			br := e.browser(&benchMeasurer{counts: make(map[int]int64)})
-			br.DisableReuse = mode.disable
-			// Warm the caches: the steady state under measurement is the
-			// repeat visit, not the first.
-			p, err := br.Load(url)
-			if err != nil {
-				b.Fatal(err)
-			}
-			br.Release(p)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, err := br.Load(url)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.AdvanceClock(30)
-				br.Release(p)
-			}
-		})
+	br := e.browser(&benchMeasurer{counts: make(map[int]int64)})
+	// Warm the caches: the steady state under measurement is the repeat
+	// visit, not the first.
+	p, err := br.Load(url)
+	if err != nil {
+		b.Fatal(err)
+	}
+	br.Release(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := br.Load(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.AdvanceClock(30)
+		br.Release(p)
+	}
+}
+
+// BenchmarkScriptDispatch isolates the script-execution cost of a warm
+// repeat visit plus an event storm, dispatched through interned op lists.
+// The interpreter comparison lives at the webscript layer
+// (webscript.BenchmarkExecute).
+func BenchmarkScriptDispatch(b *testing.B) {
+	e := env(b)
+	url := "http://" + e.site.Domain + "/"
+	br := e.browser(&benchMeasurer{counts: make(map[int]int64)})
+	p, err := br.Load(url)
+	if err != nil {
+		b.Fatal(err)
+	}
+	br.Release(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := br.Load(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Scroll()
+		p.MouseMove()
+		p.AdvanceClock(60)
+		br.Release(p)
 	}
 }

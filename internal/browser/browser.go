@@ -34,19 +34,6 @@ type Browser struct {
 	Fetcher    webserver.Fetcher
 	Extensions []Extension
 
-	// DisableReuse turns off the revisit fast path — template cloning and
-	// page/runtime pooling — so every load fetches, parses, and allocates
-	// from scratch. An ablation/debugging knob; survey results are
-	// identical either way (test-enforced).
-	DisableReuse bool
-
-	// DisableScriptCompile keeps scripts on the AST interpreter: parse-cache
-	// entries skip compilation and every execution walks []Stmt through
-	// webscript.Execute. Like DisableReuse it is an ablation/differential
-	// knob — set it before the first Load and leave it — and survey results
-	// are identical either way (test-enforced).
-	DisableScriptCompile bool
-
 	// dispatch interns the feature references of every script this browser
 	// compiles; executionHost indexes its published slice per op.
 	dispatch *webapi.DispatchTable
@@ -91,7 +78,7 @@ func (e ScriptError) Error() string { return fmt.Sprintf("script %s: %v", e.URL,
 // selector compiled exactly once at bind time.
 type boundHandler struct {
 	h       *webscript.Handler
-	ops     []webscript.Op // compiled body; nil runs the interpreter
+	ops     []webscript.Op // compiled body
 	sel     dom.Selector   // compiled h.Selector; meaningful when selOK
 	selOK   bool           // h.Selector parsed successfully
 	origin  string         // script URL, diagnostics only
@@ -139,22 +126,11 @@ type Page struct {
 	formFieldsOK   bool
 }
 
-// executionHost adapts a page (and the executing script's origin) to the
-// webscript.Host and webscript.OpHost interfaces. For the compiled path,
-// refs is the browser dispatch table's published slice, loaded once per
-// statement block.
+// executionHost adapts a page to the webscript.OpHost interface. refs is the
+// browser dispatch table's published slice, loaded once per statement block.
 type executionHost struct {
-	page   *Page
-	origin string
-	refs   []webapi.Dispatch
-}
-
-func (h executionHost) Invoke(iface, member string, count int) error {
-	return h.page.Runtime.Call(iface, member, count)
-}
-
-func (h executionHost) SetProperty(iface, member string) error {
-	return h.page.Runtime.SetProperty(iface, member)
+	page *Page
+	refs []webapi.Dispatch
 }
 
 func (h executionHost) InvokeRef(ref, count int) error {
@@ -169,20 +145,14 @@ func (h executionHost) Navigate(path string) {
 	h.page.NavAttempts = append(h.page.NavAttempts, h.page.resolveURL(path))
 }
 
-// runBody executes one statement block — compiled when ops is non-nil,
-// interpreted otherwise — recording any error against origin.
-func (p *Page) runBody(ops []webscript.Op, stmts []webscript.Stmt, origin string, refs []webapi.Dispatch) {
+// runBody executes one compiled statement block, recording any error
+// against origin.
+func (p *Page) runBody(ops []webscript.Op, origin string, refs []webapi.Dispatch) {
 	// Execution is strictly sequential (handlers never nest), so the page's
 	// embedded host is reused across blocks instead of boxing a fresh value
 	// into the interface per call.
-	p.host = executionHost{page: p, origin: origin, refs: refs}
-	var err error
-	if ops != nil {
-		err = webscript.ExecuteOps(ops, &p.host)
-	} else {
-		err = webscript.Execute(stmts, &p.host)
-	}
-	if err != nil {
+	p.host = executionHost{page: p, refs: refs}
+	if err := webscript.ExecuteOps(ops, &p.host); err != nil {
 		p.ScriptErrors = append(p.ScriptErrors, ScriptError{URL: origin, Err: err})
 	}
 }
@@ -240,9 +210,6 @@ func (p *Page) Host() string { return p.URL.Hostname() }
 // runtime structures are recycled from the pools Release feeds. Pass the
 // finished page to Release to keep the cycle going.
 func (b *Browser) Load(rawURL string) (*Page, error) {
-	if b.DisableReuse {
-		return b.loadSlow(rawURL)
-	}
 	t, err := b.template(rawURL)
 	if err != nil {
 		return nil, err
@@ -254,29 +221,6 @@ func (b *Browser) Load(rawURL string) (*Page, error) {
 	page.browser = b
 	page.urlStr = rawURL
 	b.finishLoad(page, t.scripts)
-	return page, nil
-}
-
-// loadSlow is the fast path's ablation twin: fetch, parse, and allocate
-// the document, page, and runtime per load, bypassing the template cache
-// and the pools. It is not the pre-fast-path seed byte for byte: script
-// parses (external and, unlike the seed, inline too) stay LRU-cached and
-// selectors still compile once per bound handler — the knob isolates
-// template cloning and pooling, the mechanisms that share state across
-// loads.
-func (b *Browser) loadSlow(rawURL string) (*Page, error) {
-	doc, u, err := b.fetchDocument(rawURL)
-	if err != nil {
-		return nil, err
-	}
-	page := &Page{
-		URL:     u,
-		DOM:     doc,
-		Runtime: b.Bindings.NewRuntime(),
-		browser: b,
-		urlStr:  rawURL,
-	}
-	b.finishLoad(page, collectScripts(doc, u))
 	return page, nil
 }
 
@@ -349,10 +293,10 @@ func (b *Browser) newRuntime() *webapi.Runtime {
 // counts taken, navigation attempts copied); the page must not be used —
 // or Released again — afterwards, exactly like any pooled object after
 // Put (a second Release is only harmless while the page has not been
-// reissued by a Load). Releasing nil, a page belonging to another browser,
-// or a page under DisableReuse is a no-op.
+// reissued by a Load). Releasing nil or a page belonging to another browser
+// is a no-op.
 func (b *Browser) Release(p *Page) {
-	if p == nil || p.browser != b || b.DisableReuse {
+	if p == nil || p.browser != b {
 		return
 	}
 	rt := p.Runtime
@@ -399,21 +343,12 @@ func (p *Page) reset() {
 }
 
 // installScript executes a script's immediate statements and registers its
-// handlers, reusing the cache's precompiled selectors and — when the script
-// was compiled at cache-insert time — its compiled op blocks.
+// handlers, reusing the cache's compiled op blocks and precompiled
+// selectors.
 func (p *Page) installScript(origin string, cs *cachedScript) {
-	var refs []webapi.Dispatch
-	if cs.compiled != nil {
-		refs = p.browser.dispatch.Refs()
-		p.runBody(cs.compiled.Immediate, nil, origin, refs)
-	} else {
-		p.runBody(nil, cs.script.Immediate, origin, nil)
-	}
+	p.runBody(cs.compiled.Immediate, origin, p.browser.dispatch.Refs())
 	for i, h := range cs.script.Handlers {
-		bh := boundHandler{h: h, origin: origin}
-		if cs.compiled != nil {
-			bh.ops = cs.compiled.Bodies[i]
-		}
+		bh := boundHandler{h: h, ops: cs.compiled.Bodies[i], origin: origin}
 		if h.Selector != "" {
 			bh.sel, bh.selOK = cs.sels[i].sel, cs.sels[i].ok
 		}
@@ -439,10 +374,10 @@ func (p *Page) fire(ev webscript.EventType, target *dom.Node) {
 				continue
 			}
 		}
-		if bh.ops != nil && refs == nil {
+		if refs == nil {
 			refs = p.browser.dispatch.Refs()
 		}
-		p.runBody(bh.ops, bh.h.Body, bh.origin, refs)
+		p.runBody(bh.ops, bh.origin, refs)
 	}
 }
 
@@ -486,12 +421,12 @@ func (p *Page) AdvanceClock(dt float64) {
 		if bh.h.Event != webscript.EventTimer || bh.h.Interval <= 0 {
 			continue
 		}
-		if bh.ops != nil && refs == nil {
+		if refs == nil {
 			refs = p.browser.dispatch.Refs()
 		}
 		interval := float64(bh.h.Interval)
 		for next := bh.lastRun + interval; next <= target; next += interval {
-			p.runBody(bh.ops, bh.h.Body, bh.origin, refs)
+			p.runBody(bh.ops, bh.origin, refs)
 			bh.lastRun = next
 		}
 	}

@@ -358,8 +358,8 @@ func TestReleaseRecyclesDeterministically(t *testing.T) {
 	}
 }
 
-// TestReleaseEdgeCases: nil, double release, foreign pages, and DisableReuse
-// are all no-ops.
+// TestReleaseEdgeCases: nil, double release, and foreign pages are all
+// no-ops.
 func TestReleaseEdgeCases(t *testing.T) {
 	e := env(t)
 	b := e.browser()
@@ -376,53 +376,6 @@ func TestReleaseEdgeCases(t *testing.T) {
 	}
 	other.Release(p)
 	other.Release(p) // double release: no-op
-
-	slow := e.browser()
-	slow.DisableReuse = true
-	sp, err := slow.Load("http://" + e.site.Domain + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow.Release(sp)
-	if sp.DOM == nil {
-		t.Fatal("Release under DisableReuse reset the page")
-	}
-}
-
-// TestSlowPathMatchesFastPath compares a reuse-disabled browser against the
-// default one page by page.
-func TestSlowPathMatchesFastPath(t *testing.T) {
-	e := env(t)
-	fast := e.browser()
-	slow := e.browser()
-	slow.DisableReuse = true
-	for _, s := range e.web.Sites[:10] {
-		url := "http://" + s.Domain + "/"
-		fp, ferr := fast.Load(url)
-		sp, serr := slow.Load(url)
-		if (ferr == nil) != (serr == nil) {
-			t.Fatalf("%s: fast err=%v slow err=%v", url, ferr, serr)
-		}
-		if ferr != nil {
-			continue
-		}
-		// Load again on the fast path so the template-cache hit path is
-		// compared too, after releasing the first page.
-		fast.Release(fp)
-		fp, ferr = fast.Load(url)
-		if ferr != nil {
-			t.Fatal(ferr)
-		}
-		if got, want := fp.Runtime.TotalNativeCalls(), sp.Runtime.TotalNativeCalls(); got != want {
-			t.Errorf("%s: fast path %d native calls, slow path %d", url, got, want)
-		}
-		if got, want := len(fp.NavAttempts), len(sp.NavAttempts); got != want {
-			t.Errorf("%s: fast path %d nav attempts, slow path %d", url, got, want)
-		}
-		if got, want := len(fp.BlockedRequests), len(sp.BlockedRequests); got != want {
-			t.Errorf("%s: fast path %d blocked, slow path %d", url, got, want)
-		}
-	}
 }
 
 // TestInteractiveCacheInvalidation: the page's cached interactive list must

@@ -2,6 +2,7 @@ package browser
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"net/url"
 
@@ -84,31 +85,35 @@ type compiledSel struct {
 	ok  bool
 }
 
-// cachedScript is one parse outcome in the script cache, with every handler
-// selector precompiled (aligned with script.Handlers) and — unless the
-// browser has DisableScriptCompile set — the script lowered once to compiled
-// ops whose feature references are interned in the browser's dispatch table.
+// cachedScript is one parse outcome in the script cache: the script lowered
+// once to compiled ops whose feature references are interned in the
+// browser's dispatch table, with every handler selector precompiled (both
+// aligned with script.Handlers). err is set, and the rest unset, when the
+// script failed to fetch, parse or compile.
 type cachedScript struct {
 	script   *webscript.Script
-	compiled *webscript.Compiled // nil = execute via the interpreter
+	compiled *webscript.Compiled
 	sels     []compiledSel
 	err      error
 }
 
-// newCachedScript parses source text, precompiles handler selectors, and
-// compiles the script against the browser's dispatch table. Everything
+// errNotCompiled is the script error for a parsed script that Compile
+// rejects. Parser output always compiles, so no survey page records it.
+var errNotCompiled = errors.New("webscript: script does not compile")
+
+// newCachedScript parses source text, compiles the script against the
+// browser's dispatch table, and precompiles handler selectors. Everything
 // per-execution code needs is derived here, once per cache insert.
 func (b *Browser) newCachedScript(src string) *cachedScript {
-	cs := &cachedScript{}
-	cs.script, cs.err = webscript.Parse(src)
-	if cs.err != nil {
-		return cs
+	s, err := webscript.Parse(src)
+	if err != nil {
+		return &cachedScript{err: err}
 	}
-	cs.sels = compileSelectors(cs.script)
-	if !b.DisableScriptCompile {
-		cs.compiled = webscript.Compile(cs.script, b.dispatch)
+	c := webscript.Compile(s, b.dispatch)
+	if c == nil {
+		return &cachedScript{err: errNotCompiled}
 	}
-	return cs
+	return &cachedScript{script: s, compiled: c, sels: compileSelectors(s)}
 }
 
 // compileSelectors parses each handler's selector once.

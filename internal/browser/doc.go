@@ -13,8 +13,8 @@
 //
 // The survey loads every page of every site once per case per round, so the
 // same URL is loaded dozens of times per browser. Load is built around that
-// revisit pattern; three mechanisms (all per-Browser, all bypassed when
-// DisableReuse is set) make a repeat load allocate almost nothing:
+// revisit pattern; these mechanisms (all per-Browser) make a repeat load
+// allocate almost nothing:
 //
 //   - DOM template cache. The first load of a URL parses the document once
 //     into a frozen dom.Template; every load — including the first — then
@@ -49,9 +49,9 @@
 //     webapi.DispatchTable, so executing a statement indexes a published
 //     []webapi.Dispatch — with the feature pointer and any error outcome
 //     precomputed — instead of resolving two map-keyed strings per call.
-//     Immediate code and handler bodies run through webscript.ExecuteOps.
-//     DisableScriptCompile keeps execution on the AST interpreter, the
-//     differential oracle (TestCompiledScriptMatchesInterpreter).
+//     Immediate code and handler bodies run through webscript.ExecuteOps,
+//     the only way page scripts execute; a script Compile rejects is
+//     recorded as a script error.
 //
 //   - URL-resolution memos. resolveURL is memoized visit-locally on the
 //     page and across revisits in a browser LRU, and unambiguous
@@ -64,6 +64,12 @@
 // execution ignores visibility), and an extension that instruments
 // Page.Runtime must mark it via webapi.Runtime.MarkInstrumented and skip
 // re-instrumenting a runtime it already owns, because pooled runtimes
-// return with shims intact. Both in-tree measurers comply. Survey logs are
-// byte-identical with the fast path on or off (test-enforced).
+// return with shims intact. Both in-tree measurers comply.
+//
+// Load has one path. Its from-scratch reference — fetch, parse and allocate
+// the document, page and runtime per load, with no template cache or pools —
+// lives in the package tests as loadReference, and TestSlowPathMatchesFastPath
+// holds the two equal on every page of ten synthetic sites under a full
+// event sequence. The compiled executor's reference, the AST interpreter,
+// lives in internal/webscript's tests.
 package browser

@@ -45,21 +45,6 @@ type Config struct {
 	// the site's session token, so monkey testing covers logged-in
 	// functionality too.
 	WithCredentials bool
-	// DisableBrowserReuse turns off the browser's revisit fast path (DOM
-	// template cache, page/runtime pooling) so every load fetches and
-	// allocates from scratch — an ablation/debugging knob; survey logs
-	// are byte-identical either way (test-enforced).
-	DisableBrowserReuse bool
-	// DisableScriptCompile keeps page scripts on the webscript AST
-	// interpreter instead of the compiled-op fast path — an
-	// ablation/debugging knob; survey logs are byte-identical either way
-	// (test-enforced).
-	DisableScriptCompile bool
-	// DisableMatcherIndex routes ABP ShouldBlock decisions through the
-	// linear all-rules scan instead of the tokenized rule index — an
-	// ablation/debugging knob; survey logs are byte-identical either way
-	// (test-enforced).
-	DisableMatcherIndex bool
 }
 
 // DefaultConfig mirrors the paper's methodology.
@@ -129,7 +114,6 @@ func (c *Crawler) blockers() (*blocking.Engine, *blocking.TrackerDB, error) {
 			return
 		}
 		c.abpEngine = blocking.NewEngine(list)
-		c.abpEngine.DisableIndex = c.Cfg.DisableMatcherIndex
 		db, err := blocking.ParseTrackerDB(c.Web.TrackerLibText)
 		if err != nil {
 			c.blockersErr = fmt.Errorf("crawler: parsing tracker library: %w", err)
@@ -212,13 +196,10 @@ func (c *Crawler) NewVisitor(cs measure.Case) (*Visitor, error) {
 	if c.NewFetcher != nil {
 		fetcher = c.NewFetcher()
 	}
-	b := browser.New(c.Bindings, fetcher, exts...)
-	b.DisableReuse = c.Cfg.DisableBrowserReuse
-	b.DisableScriptCompile = c.Cfg.DisableScriptCompile
 	return &Visitor{
 		crawler:  c,
 		cfg:      c.Cfg,
-		browser:  b,
+		browser:  browser.New(c.Bindings, fetcher, exts...),
 		measurer: m,
 	}, nil
 }

@@ -42,7 +42,7 @@ func BenchmarkSequentialCrawl(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sequentialCrawl(cfg); err != nil {
+		if _, _, err := sequentialCrawl(cfg, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,7 +48,7 @@ func setup(t testing.TB) {
 			return
 		}
 		testBind = webapi.NewBindings(reg)
-		baseLog, baseStats, err = sequentialCrawl(sequentialConfig())
+		baseLog, baseStats, err = sequentialCrawl(sequentialConfig(), false)
 	})
 	if setupErr != nil {
 		t.Fatal(setupErr)
@@ -63,8 +63,10 @@ func sequentialConfig() crawler.Config {
 // sequentialCrawl is the reference survey the engine must reproduce: one
 // Visitor per case, every site in index order, every case, every round, each
 // visit recorded straight into a measure.Log. A failed visit marks the site
-// unmeasured and skips the rest of that case's rounds.
-func sequentialCrawl(cfg crawler.Config) (*measure.Log, *crawler.Stats, error) {
+// unmeasured and skips the rest of that case's rounds. With freshVisitors,
+// every visit gets a new Visitor instead, so no browser state — caches,
+// templates, pooled pages and runtimes — crosses a visit.
+func sequentialCrawl(cfg crawler.Config, freshVisitors bool) (*measure.Log, *crawler.Stats, error) {
 	if len(cfg.Cases) == 0 {
 		cfg.Cases = measure.AllCases()
 	}
@@ -87,7 +89,15 @@ func sequentialCrawl(cfg crawler.Config) (*measure.Log, *crawler.Stats, error) {
 	for _, site := range testWeb.Sites {
 		for _, cs := range cfg.Cases {
 			for round := 0; round < cfg.Rounds; round++ {
-				counts, pages, err := visitors[cs].CrawlOnce(site, crawler.VisitSeed(cfg.Seed, site.Index, cs, round))
+				v := visitors[cs]
+				if freshVisitors {
+					fresh, err := c.NewVisitor(cs)
+					if err != nil {
+						return nil, nil, err
+					}
+					v = fresh
+				}
+				counts, pages, err := v.CrawlOnce(site, crawler.VisitSeed(cfg.Seed, site.Index, cs, round))
 				if err != nil {
 					failed[site.Index] = true
 					break
@@ -164,83 +174,23 @@ func TestPipelineMatchesSequential(t *testing.T) {
 }
 
 // TestFastPathMatchesSlowPath pins the browser's revisit fast path (DOM
-// template cloning, page/runtime pooling, precompiled selectors) to the
-// from-scratch load path: the same survey run with reuse disabled must
-// produce the byte-identical log and stats. The spill-only and sharded
-// determinism tests compare against the same baseline, so transitively every
-// engine mode is pinned to the slow path too.
+// template cache, page/runtime pooling, script and URL caches) to visits
+// that share no browser state: the same survey with a fresh Visitor — and so
+// a fresh browser — per visit must produce the byte-identical log and stats.
+// The spill-only and sharded determinism tests compare against the same
+// baseline, so transitively every engine mode is pinned to it too.
 func TestFastPathMatchesSlowPath(t *testing.T) {
 	setup(t)
-	cfg := sequentialConfig()
-	cfg.DisableBrowserReuse = true
-	slowLog, slowStats, err := sequentialCrawl(cfg)
+	slowLog, slowStats, err := sequentialCrawl(sequentialConfig(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := csvBytes(t, slowLog), csvBytes(t, baseLog); !bytes.Equal(got, want) {
-		t.Errorf("slow-path log differs from fast-path baseline (%d vs %d bytes)", len(got), len(want))
+		t.Errorf("fresh-visitor log differs from fast-path baseline (%d vs %d bytes)", len(got), len(want))
 	}
 	if *slowStats != *baseStats {
-		t.Errorf("slow-path stats = %+v, want %+v", *slowStats, *baseStats)
+		t.Errorf("fresh-visitor stats = %+v, want %+v", *slowStats, *baseStats)
 	}
-}
-
-// TestExecutionAblationsMatchBaseline pins the two execution-engine
-// rewrites — compiled WebScript dispatch and the tokenized ABP matcher
-// index — to the interpreted/linear reference: disabling either (or both)
-// must reproduce the byte-identical log and stats, sequentially and under a
-// sharded geometry. Together with TestFastPathMatchesSlowPath this keeps
-// every perf path a pure rearrangement of the same computation.
-func TestExecutionAblationsMatchBaseline(t *testing.T) {
-	setup(t)
-	want := csvBytes(t, baseLog)
-	modes := []struct {
-		name               string
-		noCompile, noIndex bool
-	}{
-		{"no-script-compile", true, false},
-		{"no-matcher-index", false, true},
-		{"both-disabled", true, true},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			cfg := sequentialConfig()
-			cfg.DisableScriptCompile = m.noCompile
-			cfg.DisableMatcherIndex = m.noIndex
-			log, stats, err := sequentialCrawl(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := csvBytes(t, log); !bytes.Equal(got, want) {
-				t.Errorf("ablated log differs from baseline (%d vs %d bytes)", len(got), len(want))
-			}
-			if *stats != *baseStats {
-				t.Errorf("ablated stats = %+v, want %+v", *stats, *baseStats)
-			}
-		})
-	}
-	t.Run("both-disabled-sharded", func(t *testing.T) {
-		cfg := sequentialConfig()
-		cfg.DisableScriptCompile = true
-		cfg.DisableMatcherIndex = true
-		eng := New(testWeb, testBind, Config{
-			Shards:          4,
-			WorkersPerShard: 2,
-			BatchSize:       8,
-			Stripes:         8,
-			Crawl:           cfg,
-		})
-		res, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := csvBytes(t, res.Log); !bytes.Equal(got, want) {
-			t.Errorf("sharded ablated log differs from baseline (%d vs %d bytes)", len(got), len(want))
-		}
-		if *res.Stats != *baseStats {
-			t.Errorf("sharded ablated stats = %+v, want %+v", *res.Stats, *baseStats)
-		}
-	})
 }
 
 // TestPipelineConcurrent exercises the multi-shard engine under the race

@@ -156,21 +156,6 @@ func (b *Bindings) NewRuntime() *Runtime {
 	return rt
 }
 
-// Reset returns the runtime to its pristine post-NewRuntime state: every
-// patch is removed, every watchpoint dropped, every counter zeroed, and all
-// instrumentation marks cleared. Backing storage is retained, so a reset
-// runtime costs no allocations to reuse. The browser's same-profile recycle
-// path deliberately uses only ResetCounts (shims survive); Reset is the
-// full wipe a pool shared across extension stacks — e.g. a future
-// Bindings-level pool serving browsers of different cases — must use
-// before handing a runtime to a different profile.
-func (rt *Runtime) Reset() {
-	clear(rt.methods)
-	clear(rt.native)
-	clear(rt.watchers)
-	rt.instrumented = rt.instrumented[:0]
-}
-
 // ResetCounts zeroes the per-page native counters while preserving patches,
 // watchpoints, and instrumentation marks. This is the recycle path for a
 // runtime returning to its browser's pool between pages of one profile:
@@ -183,8 +168,8 @@ func (rt *Runtime) ResetCounts() { clear(rt.native) }
 // this runtime. Extensions that patch methods or register watchpoints must
 // mark the runtime and check InstrumentedBy before instrumenting, so a
 // runtime recycled by the browser's page pool is never shimmed twice
-// (double-wrapping would double every count). Reset clears the marks;
-// ResetCounts preserves them.
+// (double-wrapping would double every count). ResetCounts preserves the
+// marks.
 func (rt *Runtime) MarkInstrumented(owner any) {
 	rt.instrumented = append(rt.instrumented, owner)
 }

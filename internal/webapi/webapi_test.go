@@ -363,42 +363,3 @@ func TestResetCountsPreservesInstrumentation(t *testing.T) {
 		t.Errorf("post-recycle native calls = %d, want 2", got)
 	}
 }
-
-// TestResetRestoresPristineState: the full Reset drops patches, watchers,
-// counters, and marks, so the runtime behaves like a fresh NewRuntime.
-func TestResetRestoresPristineState(t *testing.T) {
-	b := bindings(t)
-	rt := b.NewRuntime()
-	var patched int64
-	rt.PatchAllMethods(func(f *webidl.Feature, original MethodFunc) MethodFunc {
-		return func(ctx *CallContext) { patched++; original(ctx) }
-	})
-	var watched int64
-	rt.WatchAllSingletons(func(f *webidl.Feature, count int) { watched++ })
-	owner := "owner"
-	rt.MarkInstrumented(owner)
-	if err := rt.Call("Document", "createElement", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	rt.Reset()
-	if rt.TotalNativeCalls() != 0 {
-		t.Error("Reset left native counts")
-	}
-	if rt.InstrumentedBy(owner) {
-		t.Error("Reset left instrumentation marks")
-	}
-	patched, watched = 0, 0
-	if err := rt.Call("Document", "createElement", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.SetProperty("Window", "name"); err != nil {
-		t.Fatal(err)
-	}
-	if patched != 0 || watched != 0 {
-		t.Errorf("reset runtime still instrumented: patched=%d watched=%d", patched, watched)
-	}
-	if rt.TotalNativeCalls() != 2 {
-		t.Errorf("reset runtime native calls = %d, want 2", rt.TotalNativeCalls())
-	}
-}

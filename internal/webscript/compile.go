@@ -7,8 +7,9 @@ package webscript
 // insert — into flat op slices whose feature operands are interned to dense
 // IDs by the host (the browser shares one string → ID table per Browser), so
 // executing a statement is an index into a dispatch slice instead of a
-// map-keyed string lookup. The AST interpreter in Execute stays behind the
-// DisableScriptCompile ablation flag as the differential oracle.
+// map-keyed string lookup. Compiled ops are the only way scripts execute; the
+// AST interpreter they replaced lives in this package's tests as the
+// reference they are checked against.
 
 // OpKind classifies one compiled statement.
 type OpKind uint8
@@ -40,8 +41,8 @@ type RefInterner interface {
 	InternRef(iface, member string) int
 }
 
-// OpHost executes compiled ops. It is the compiled counterpart of Host: the
-// same effects, addressed by interned ref instead of string pair.
+// OpHost executes compiled ops: the effects of the script's statements,
+// addressed by interned ref.
 type OpHost interface {
 	// InvokeRef calls the method behind ref count times.
 	InvokeRef(ref, count int) error
@@ -61,9 +62,10 @@ type Compiled struct {
 
 // Compile lowers a parsed script through the interner. The result is
 // immutable and safe to share across every execution of the cached script.
-// It returns nil for scripts containing statement types it does not know —
-// impossible for parser output, possible for hand-built ASTs — and callers
-// treat nil as "run the interpreter".
+// It returns nil, a failure, for scripts containing statement types it does
+// not know — impossible for parser output (FuzzCompileMatchesInterpreter),
+// possible for hand-built ASTs. Callers treat a nil result as a script that
+// cannot run.
 func Compile(s *Script, in RefInterner) *Compiled {
 	imm, ok := CompileStmts(s.Immediate, in)
 	if !ok {
@@ -106,8 +108,9 @@ func CompileStmts(stmts []Stmt, in RefInterner) ([]Op, bool) {
 }
 
 // ExecuteOps runs a compiled op block against a host, stopping at the first
-// error exactly like the interpreter: a failing statement aborts the block,
-// and statements before it keep their effects.
+// error (an unknown feature is the analog of a JavaScript ReferenceError): a
+// failing statement aborts the block, and statements before it keep their
+// effects.
 func ExecuteOps(ops []Op, h OpHost) error {
 	for i := range ops {
 		op := &ops[i]

@@ -138,8 +138,8 @@ invoke C.never;
 	}
 }
 
-// TestCompileUnknownStmtFallsBack pins the nil return for hand-built ASTs
-// containing statement types the compiler does not know.
+// TestCompileUnknownStmtFallsBack pins the nil (failure) return for
+// hand-built ASTs containing statement types the compiler does not know.
 func TestCompileUnknownStmtFallsBack(t *testing.T) {
 	type weird struct{ Stmt }
 	s := &Script{Immediate: []Stmt{Invoke{Interface: "A", Member: "b", Count: 1}, weird{}}}
@@ -150,6 +150,83 @@ func TestCompileUnknownStmtFallsBack(t *testing.T) {
 	if c := Compile(s, newTestInterner()); c != nil {
 		t.Fatalf("Compile of unknown handler statement = %+v, want nil", c)
 	}
+}
+
+// traceHost is the interpreter-side twin of testOpHost: the same effect
+// trace and per-reference failures, addressed by string pair.
+type traceHost struct {
+	fail  map[string]error
+	trace []string
+}
+
+func (h *traceHost) Invoke(iface, member string, count int) error {
+	key := iface + "." + member
+	if err := h.fail[key]; err != nil {
+		return err
+	}
+	h.trace = append(h.trace, fmt.Sprintf("invoke×%d %s", count, key))
+	return nil
+}
+
+func (h *traceHost) SetProperty(iface, member string) error {
+	key := iface + "." + member
+	if err := h.fail[key]; err != nil {
+		return err
+	}
+	h.trace = append(h.trace, "set "+key)
+	return nil
+}
+
+func (h *traceHost) Navigate(path string) {
+	h.trace = append(h.trace, "navigate "+path)
+}
+
+// FuzzCompileMatchesInterpreter pins the property the browser's single
+// execution path relies on: every script Parse accepts compiles (Compile is
+// non-nil), and each compiled block produces the reference interpreter's
+// effect trace and error. failMask picks the failing references: interned
+// ref i fails when bit i%64 is set.
+func FuzzCompileMatchesInterpreter(f *testing.F) {
+	f.Add(sampleScript, uint64(0))
+	f.Add(sampleScript, uint64(0b101))
+	f.Add(sampleScript, ^uint64(0))
+	f.Add("invoke A.ok;\ninvoke B.bad 2;\nset C.p;\nnavigate \"/x\";", uint64(0b10))
+	f.Add("on timer 3 { set Window.name; invoke A.b; }\non click \"#m\" { navigate \"/m\"; }", uint64(1))
+	f.Fuzz(func(t *testing.T, src string, failMask uint64) {
+		s, err := Parse(src)
+		if err != nil {
+			return
+		}
+		in := newTestInterner()
+		c := Compile(s, in)
+		if c == nil {
+			t.Fatalf("Compile returned nil for parser output %q", src)
+		}
+		if len(c.Bodies) != len(s.Handlers) {
+			t.Fatalf("Bodies = %d blocks, want %d", len(c.Bodies), len(s.Handlers))
+		}
+		fail := make(map[string]error)
+		for i, key := range in.keys {
+			if failMask>>(i%64)&1 == 1 {
+				fail[key] = fmt.Errorf("ReferenceError: %s", key)
+			}
+		}
+		check := func(block string, ops []Op, stmts []Stmt) {
+			oh := &testOpHost{in: in, fail: fail}
+			ih := &traceHost{fail: fail}
+			oerr, ierr := ExecuteOps(ops, oh), execute(stmts, ih)
+			if fmt.Sprint(oerr) != fmt.Sprint(ierr) {
+				t.Fatalf("%s of %q: compiled error %v, interpreted %v", block, src, oerr, ierr)
+			}
+			if fmt.Sprint(oh.trace) != fmt.Sprint(ih.trace) {
+				t.Fatalf("%s of %q: traces diverge\ncompiled:    %v\ninterpreted: %v", block, src, oh.trace, ih.trace)
+			}
+		}
+		check("immediate block", c.Immediate, s.Immediate)
+		for i, h := range s.Handlers {
+			check(fmt.Sprintf("handler %d", i), c.Bodies[i], h.Body)
+		}
+	})
 }
 
 // TestEventTypeStringTable pins the slice-backed String lookup over every

@@ -20,15 +20,17 @@
 // Feature references use "Interface.member" shorthand for the corpus name
 // "Interface.prototype.member".
 //
-// Scripts execute two ways. Execute walks the parsed AST, resolving each
-// statement's interface and member strings at dispatch time. Compile
-// translates a parsed Script once into flat op lists ([]Op) whose operands
-// are integer references interned through a RefInterner, and ExecuteOps
-// replays them against an OpHost — the browser's hot path, where the same
-// script runs thousands of times per survey. The two forms are
-// observationally identical, including error behavior (a failing statement
-// aborts its block; earlier effects stand), which the browser pins with a
-// differential test over the synthetic-web corpus. Compile returns nil for
-// ASTs containing statement types it does not know, and callers fall back
-// to the interpreter.
+// Scripts execute in compiled form. Compile translates a parsed Script once
+// into flat op lists ([]Op) whose operands are integer references interned
+// through a RefInterner, and ExecuteOps replays them against an OpHost — the
+// browser's hot path, where the same script runs thousands of times per
+// survey. A failing statement aborts its block; earlier effects stand.
+// Compile returns nil only for hand-built ASTs holding statement types it
+// does not know; the browser records that as a script error.
+//
+// The AST interpreter that walks []Stmt and resolves interface and member
+// strings per statement is a test-only reference (interp_test.go).
+// TestCompiledScriptMatchesInterpreter holds compiled execution equal to it
+// over every script of a synthetic web, and FuzzCompileMatchesInterpreter
+// over arbitrary parser output.
 package webscript

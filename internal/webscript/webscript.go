@@ -354,41 +354,6 @@ func (p *wsParser) parseHandler() (*Handler, error) {
 	return h, nil
 }
 
-// --- execution ---
-
-// Host receives the effects of executing WebScript statements. The browser
-// implements it on top of the webapi dispatch layer.
-type Host interface {
-	// Invoke calls the method feature count times.
-	Invoke(iface, member string, count int) error
-	// SetProperty writes the property feature once.
-	SetProperty(iface, member string) error
-	// Navigate attempts a navigation to path.
-	Navigate(path string)
-}
-
-// Execute runs a statement list against a host, stopping at the first
-// error (an unknown feature is the analog of a JavaScript ReferenceError).
-func Execute(stmts []Stmt, h Host) error {
-	for _, st := range stmts {
-		switch s := st.(type) {
-		case Invoke:
-			if err := h.Invoke(s.Interface, s.Member, s.Count); err != nil {
-				return err
-			}
-		case SetProp:
-			if err := h.SetProperty(s.Interface, s.Member); err != nil {
-				return err
-			}
-		case Navigate:
-			h.Navigate(s.Path)
-		default:
-			return fmt.Errorf("webscript: unknown statement type %T", st)
-		}
-	}
-	return nil
-}
-
 // --- serialization (used by the synthetic-web generator) ---
 
 // Format renders a script back to WebScript source.

@@ -135,7 +135,7 @@ func TestExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &recordingHost{}
-	if err := Execute(s.Immediate, h); err != nil {
+	if err := execute(s.Immediate, h); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.invokes) != 2 || h.invokes[0] != "Document.createElement x3" {
@@ -145,7 +145,7 @@ func TestExecute(t *testing.T) {
 		t.Errorf("sets = %v", h.sets)
 	}
 	// Execute a handler body containing a navigation.
-	if err := Execute(s.Handlers[1].Body, h); err != nil {
+	if err := execute(s.Handlers[1].Body, h); err != nil {
 		t.Fatal(err)
 	}
 	if len(h.navs) != 1 || h.navs[0] != "/products" {
@@ -159,7 +159,7 @@ func TestExecuteStopsOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &recordingHost{failOn: "A.bad"}
-	if err := Execute(s.Immediate, h); err == nil {
+	if err := execute(s.Immediate, h); err == nil {
 		t.Fatal("expected execution error")
 	}
 	if len(h.invokes) != 1 {
