@@ -26,13 +26,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/logstore"
-	"repro/internal/report"
 )
 
 func main() {
+	var names, perSite []string
+	for _, a := range core.Artifacts() {
+		names = append(names, a.Name)
+		if a.PerSite {
+			perSite = append(perSite, a.Name)
+		}
+	}
 	var (
 		sites       = flag.Int("sites", 1000, "ranking size (must match the log if -log is given)")
 		seed        = flag.Int64("seed", 42, "deterministic seed (must match the log if -log is given)")
@@ -42,7 +50,7 @@ func main() {
 		spillsGlob  = flag.String("spills", "", "merge spill files matching this glob through the streaming stats layer instead of crawling (bounded memory; per-site artifacts unavailable)")
 		cacheDir    = flag.String("cache", "", "visit cache directory for survey re-runs")
 		cacheLimit  = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
-		only        = flag.String("only", "", "render one artifact: figure1|figure3|figure4|figure5|figure6|figure7|figure8|figure9|table1|table2|table3|headlines")
+		only        = flag.String("only", "", "render one artifact: "+strings.Join(names, "|"))
 	)
 	flag.Parse()
 
@@ -94,56 +102,20 @@ func main() {
 		}
 	}
 
-	if *only == "" {
-		if results.Log == nil {
-			fmt.Fprintln(os.Stderr, "per-site artifacts (figure5, figure9) need the full log; rendering the aggregate report")
-			if err := study.WriteAggregateReport(os.Stdout, results); err != nil {
-				fatal(err)
-			}
-			return
+	switch {
+	case *only != "":
+		if results.Log == nil && slices.Contains(perSite, *only) {
+			fatal(fmt.Errorf("report: %s is a per-site artifact; it needs -log (or a re-run), not -spills", *only))
 		}
-		if err := study.WriteReport(os.Stdout, results); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if results.Log == nil && (*only == "figure5" || *only == "figure9") {
-		fatal(fmt.Errorf("report: %s is a per-site artifact; it needs -log (or a re-run), not -spills", *only))
-	}
-
-	a := results.Analysis
-	switch *only {
-	case "figure1":
-		report.Figure1(os.Stdout)
-	case "table1":
-		report.Table1(os.Stdout, results.Stats)
-	case "headlines":
-		report.Headlines(os.Stdout, a, study.CVEs)
-	case "figure3":
-		report.Figure3(os.Stdout, a)
-	case "figure4":
-		report.Figure4(os.Stdout, a)
-	case "figure5":
-		report.Figure5(os.Stdout, a.VisitWeightedPopularity(study.Ranking()))
-	case "figure6":
-		report.Figure6(os.Stdout, a.AgeSeries(study.History))
-	case "figure7":
-		report.Figure7(os.Stdout, a.AdVsTrackerRates())
-	case "figure8":
-		report.Figure8(os.Stdout, a.Complexity())
-	case "figure9":
-		deltas, err := study.RunExternalValidation(results)
-		if err != nil {
-			fatal(err)
-		}
-		report.Figure9(os.Stdout, deltas)
-	case "table2":
-		report.Table2(os.Stdout, a.Table2(study.CVEs))
-	case "table3":
-		report.Table3(os.Stdout, a.NewStandardsPerRound())
+		err = study.WriteArtifact(os.Stdout, *only, results)
+	case results.Log == nil:
+		fmt.Fprintf(os.Stderr, "per-site artifacts (%s) need the full log; rendering the aggregate report\n", strings.Join(perSite, ", "))
+		err = study.WriteAggregateReport(os.Stdout, results)
 	default:
-		fatal(fmt.Errorf("unknown artifact %q", *only))
+		err = study.WriteReport(os.Stdout, results)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 

@@ -75,8 +75,8 @@ type Config struct {
 	// Combine with SpillDir to keep the full log on disk.
 	SpillOnly bool
 	// CacheMaxBytes caps the visit cache's on-disk size; once entries
-	// exceed it the least-recently-used are pruned (a manifest in the
-	// cache directory tracks recency without directory scans). 0 means
+	// exceed it the least-recently-used are pruned (recency is kept in
+	// the entry files' mtimes, so it survives restarts). 0 means
 	// unbounded.
 	CacheMaxBytes int64
 	// Resume, when set with SpillDir, makes RunSurvey crash-safe: before
@@ -485,8 +485,73 @@ func (s *Study) RunExternalValidation(results *Results) ([]int, error) {
 	return deltas, nil
 }
 
-// WriteReport renders every table and figure of the paper from the results.
-// It needs the full log (Figures 5 and 9 are per-site artifacts).
+// Artifact is one table or figure of the paper's report.
+type Artifact struct {
+	// Name is how cmd/report -only selects the artifact.
+	Name string
+	// PerSite marks the artifacts that need the full log (Results.Log):
+	// aggregate-only results, as from a spill-only survey, cannot render
+	// them.
+	PerSite bool
+	render  func(s *Study, w io.Writer, r *Results) error
+}
+
+// artifacts is the report, in report order.
+var artifacts = []Artifact{
+	{"figure1", false, func(_ *Study, w io.Writer, _ *Results) error { report.Figure1(w); return nil }},
+	{"table1", false, func(_ *Study, w io.Writer, r *Results) error { report.Table1(w, r.Stats); return nil }},
+	{"headlines", false, func(s *Study, w io.Writer, r *Results) error { report.Headlines(w, r.Analysis, s.CVEs); return nil }},
+	{"figure3", false, func(_ *Study, w io.Writer, r *Results) error { report.Figure3(w, r.Analysis); return nil }},
+	{"figure4", false, func(_ *Study, w io.Writer, r *Results) error { report.Figure4(w, r.Analysis); return nil }},
+	{"figure5", true, func(s *Study, w io.Writer, r *Results) error {
+		report.Figure5(w, r.Analysis.VisitWeightedPopularity(s.Web.Ranking))
+		return nil
+	}},
+	{"figure6", false, func(s *Study, w io.Writer, r *Results) error {
+		report.Figure6(w, r.Analysis.AgeSeries(s.History))
+		return nil
+	}},
+	{"figure7", false, func(_ *Study, w io.Writer, r *Results) error {
+		report.Figure7(w, r.Analysis.AdVsTrackerRates())
+		return nil
+	}},
+	{"table2", false, func(s *Study, w io.Writer, r *Results) error { report.Table2(w, r.Analysis.Table2(s.CVEs)); return nil }},
+	{"table3", false, func(_ *Study, w io.Writer, r *Results) error {
+		report.Table3(w, r.Analysis.NewStandardsPerRound())
+		return nil
+	}},
+	{"figure8", false, func(_ *Study, w io.Writer, r *Results) error { report.Figure8(w, r.Analysis.Complexity()); return nil }},
+	{"figure9", true, func(s *Study, w io.Writer, r *Results) error {
+		deltas, err := s.RunExternalValidation(r)
+		if err != nil {
+			return err
+		}
+		report.Figure9(w, deltas)
+		return nil
+	}},
+}
+
+// Artifacts lists every artifact of the report, in report order.
+func Artifacts() []Artifact { return append([]Artifact(nil), artifacts...) }
+
+// WriteArtifact renders the named artifact alone. A PerSite artifact needs
+// results that carry the full log.
+func (s *Study) WriteArtifact(w io.Writer, name string, results *Results) error {
+	for _, a := range artifacts {
+		if a.Name != name {
+			continue
+		}
+		if a.PerSite && results.Log == nil {
+			return fmt.Errorf("core: %s is a per-site artifact; it needs the full log", name)
+		}
+		return a.render(s, w, results)
+	}
+	return fmt.Errorf("unknown artifact %q", name)
+}
+
+// WriteReport renders every table and figure of the paper from the results,
+// separated by blank lines. It needs the full log (Figures 5 and 9 are
+// per-site artifacts).
 func (s *Study) WriteReport(w io.Writer, results *Results) error {
 	return s.writeReport(w, results, true)
 }
@@ -500,41 +565,17 @@ func (s *Study) WriteAggregateReport(w io.Writer, results *Results) error {
 }
 
 func (s *Study) writeReport(w io.Writer, results *Results, perSite bool) error {
-	a := results.Analysis
-
-	report.Figure1(w)
-	fmt.Fprintln(w)
-	report.Table1(w, results.Stats)
-	fmt.Fprintln(w)
-	report.Headlines(w, a, s.CVEs)
-	fmt.Fprintln(w)
-	report.Figure3(w, a)
-	fmt.Fprintln(w)
-	report.Figure4(w, a)
-	if perSite {
-		fmt.Fprintln(w)
-		report.Figure5(w, a.VisitWeightedPopularity(s.Web.Ranking))
+	for i, a := range artifacts {
+		if a.PerSite && !perSite {
+			continue
+		}
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := a.render(s, w, results); err != nil {
+			return err
+		}
 	}
-	fmt.Fprintln(w)
-	report.Figure6(w, a.AgeSeries(s.History))
-	fmt.Fprintln(w)
-	report.Figure7(w, a.AdVsTrackerRates())
-	fmt.Fprintln(w)
-	report.Table2(w, a.Table2(s.CVEs))
-	fmt.Fprintln(w)
-	report.Table3(w, a.NewStandardsPerRound())
-	fmt.Fprintln(w)
-	report.Figure8(w, a.Complexity())
-	if !perSite {
-		return nil
-	}
-
-	deltas, err := s.RunExternalValidation(results)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	report.Figure9(w, deltas)
 	return nil
 }
 

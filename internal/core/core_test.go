@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -43,6 +44,50 @@ func TestEndToEndReport(t *testing.T) {
 	// The paper-shaped anchors must appear.
 	if !strings.Contains(out, "AJAX") || !strings.Contains(out, "DOM1") {
 		t.Error("report missing standard abbreviations")
+	}
+}
+
+// TestArtifactsComposeReport: the artifact table is the report. Every
+// artifact rendered alone, joined by the report's blank-line separators,
+// reproduces WriteReport byte for byte, and the non-per-site ones
+// reproduce WriteAggregateReport.
+func TestArtifactsComposeReport(t *testing.T) {
+	study, results := smallStudy(t, Config{Sites: 40, Seed: 23, HumanSample: 10})
+	var full, agg bytes.Buffer
+	if err := study.WriteReport(&full, results); err != nil {
+		t.Fatal(err)
+	}
+	if err := study.WriteAggregateReport(&agg, results); err != nil {
+		t.Fatal(err)
+	}
+	var all, aggOnly [][]byte
+	for _, a := range Artifacts() {
+		var buf bytes.Buffer
+		if err := study.WriteArtifact(&buf, a.Name, results); err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		all = append(all, buf.Bytes())
+		if !a.PerSite {
+			aggOnly = append(aggOnly, buf.Bytes())
+		}
+	}
+	if len(all) != 12 || len(aggOnly) != 10 {
+		t.Fatalf("%d artifacts, %d aggregate; want 12 and 10", len(all), len(aggOnly))
+	}
+	if got := bytes.Join(all, []byte("\n")); !bytes.Equal(got, full.Bytes()) {
+		t.Error("artifacts rendered one by one diverge from WriteReport")
+	}
+	if got := bytes.Join(aggOnly, []byte("\n")); !bytes.Equal(got, agg.Bytes()) {
+		t.Error("aggregate artifacts rendered one by one diverge from WriteAggregateReport")
+	}
+
+	if err := study.WriteArtifact(io.Discard, "figure2", results); err == nil {
+		t.Error("unknown artifact rendered")
+	}
+	noLog := *results
+	noLog.Log = nil
+	if err := study.WriteArtifact(io.Discard, "figure5", &noLog); err == nil {
+		t.Error("per-site artifact rendered without the full log")
 	}
 }
 

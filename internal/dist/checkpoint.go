@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/logstore"
 )
@@ -119,31 +118,20 @@ func loadCheckpoint(path string, cfg CoordinatorConfig) (*checkpoint, map[int][]
 	return &checkpoint{f: f}, commits, nil
 }
 
-// createCheckpoint writes a fresh header-only checkpoint atomically:
-// tmp file + fsync + rename + directory fsync, so a crash during
-// creation leaves either no checkpoint or a complete one — never a
-// torn header a later open would misread.
+// createCheckpoint publishes a fresh header-only checkpoint through a
+// logstore.DurableFile, so a crash during creation leaves either no
+// checkpoint or a complete one — never a torn header a later open would
+// misread.
 func createCheckpoint(path string, cfg CoordinatorConfig) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	f, err := logstore.CreateDurable(path)
 	if err != nil {
 		return fmt.Errorf("dist: creating checkpoint: %w", err)
 	}
-	err = logstore.WriteFrame(tmp, frameCkptHeader, ckptHeaderPayload(cfg))
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	defer f.Abort()
+	if err := logstore.WriteFrame(f, frameCkptHeader, ckptHeaderPayload(cfg)); err != nil {
 		return fmt.Errorf("dist: creating checkpoint: %w", err)
 	}
-	if err := fsyncDir(dir); err != nil {
+	if err := f.Commit(); err != nil {
 		return fmt.Errorf("dist: creating checkpoint: %w", err)
 	}
 	return nil
@@ -151,6 +139,8 @@ func createCheckpoint(path string, cfg CoordinatorConfig) error {
 
 // commit journals one merged lease and fsyncs before returning: once
 // the coordinator reports a lease merged, no later crash can lose it.
+// The journal is appended in place, not published, so this Sync is its
+// own rather than logstore.DurableFile's.
 func (ck *checkpoint) commit(id int, stream []byte) error {
 	payload := putUvarint(nil, uint64(id))
 	payload = append(payload, stream...)
@@ -184,14 +174,4 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// fsyncDir fsyncs a directory so a just-renamed entry survives a crash.
-func fsyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

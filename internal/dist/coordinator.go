@@ -46,11 +46,6 @@ type CoordinatorConfig struct {
 	// connection is declared dead and its in-flight lease re-issued.
 	// Workers heartbeat at a third of this. Default 10s.
 	HeartbeatTimeout time.Duration
-	// MaxLeaseAttempts caps how many times one lease may be issued before
-	// the survey fails — the brake that turns a deterministically
-	// crashing lease (bad worker build, corrupt stream) into an error
-	// instead of an infinite requeue loop. Default 5.
-	MaxLeaseAttempts int
 	// Agg, when non-nil, is the merge target for committed leases instead
 	// of a coordinator-private aggregate. The query server passes its
 	// resident aggregate here so HTTP readers watch tables fill in
@@ -95,9 +90,6 @@ func (cfg CoordinatorConfig) normalized() CoordinatorConfig {
 	}
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 10 * time.Second
-	}
-	if cfg.MaxLeaseAttempts <= 0 {
-		cfg.MaxLeaseAttempts = 5
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -297,7 +289,7 @@ func (c *Coordinator) Leases() int { return len(c.leases) }
 // Serve accepts workers and runs the survey to completion, returning the
 // merged aggregate — statistic for statistic identical to a single-machine
 // spill-only run of the same study. It returns when every lease has merged,
-// when ctx is canceled, or when a lease exhausts MaxLeaseAttempts.
+// when ctx is canceled, or when a lease exhausts maxLeaseAttempts.
 func (c *Coordinator) Serve(ctx context.Context) (*stats.Aggregate, error) {
 	go c.accept()
 
@@ -527,8 +519,14 @@ func (c *Coordinator) Completed() int {
 	return len(c.completed)
 }
 
+// maxLeaseAttempts caps how many times one lease may be issued before the
+// survey fails — the brake that turns a deterministically crashing lease
+// (bad worker build, corrupt stream) into an error instead of an infinite
+// requeue loop.
+const maxLeaseAttempts = 5
+
 // requeue returns a failed lease to the pending queue — unless it has been
-// issued MaxLeaseAttempts times already, in which case the survey fails.
+// issued maxLeaseAttempts times already, in which case the survey fails.
 func (c *Coordinator) requeue(id int, cause error) {
 	c.mu.Lock()
 	attempts := c.attempts[id]
@@ -538,7 +536,7 @@ func (c *Coordinator) requeue(id int, cause error) {
 		// The lease merged before the connection died; nothing to redo.
 		return
 	}
-	if attempts >= c.cfg.MaxLeaseAttempts {
+	if attempts >= maxLeaseAttempts {
 		err := fmt.Errorf("dist: lease %d failed %d times, giving up: %w", id, attempts, cause)
 		select {
 		case c.fatal <- err:

@@ -52,7 +52,7 @@
 // its lease was re-issued — are dropped, because Aggregate.Merge is a pure
 // tally addition that would double-count overlapping sites
 // (stats.TestMergeOverlappingSites pins that shape). A lease that fails
-// MaxLeaseAttempts times fails the survey instead of requeueing forever.
+// five times fails the survey instead of requeueing forever.
 //
 // # Backpressure and liveness
 //

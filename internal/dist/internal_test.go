@@ -174,7 +174,7 @@ func TestRequeueGivesUpAfterMaxAttempts(t *testing.T) {
 		<-c.pending
 	}
 
-	c.attempts[0] = c.cfg.MaxLeaseAttempts - 1
+	c.attempts[0] = maxLeaseAttempts - 1
 	c.requeue(0, cause)
 	select {
 	case id := <-c.pending:
@@ -190,7 +190,7 @@ func TestRequeueGivesUpAfterMaxAttempts(t *testing.T) {
 	default:
 	}
 
-	c.attempts[0] = c.cfg.MaxLeaseAttempts
+	c.attempts[0] = maxLeaseAttempts
 	c.requeue(0, cause)
 	select {
 	case <-c.pending:

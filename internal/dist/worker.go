@@ -11,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/logstore"
 )
 
 // CrawlFunc runs the worker's local survey engine over a lease: it crawls
@@ -291,24 +293,22 @@ func heartbeat(cn *conn, interval time.Duration, stop <-chan struct{}) {
 // runLease crawls one lease and commits it. The commit frame is sent only
 // after the crawl finished and every spill chunk went out, so the
 // coordinator's view of a lease is all-or-nothing. With a SpillDir, the
-// stream is teed into lease-NNN.spill as it is sent; the file keeps a
-// .partial suffix until the lease commits, so an on-disk lease copy under
-// its final name is always a complete stream.
+// stream is teed into a logstore.DurableFile for lease-NNN.spill as it is
+// sent and published only once the lease commits, so an on-disk lease
+// copy under its final name is always a complete stream.
 func runLease(ctx context.Context, cn *conn, crawl CrawlFunc, id int, sites []int, spillDir string) error {
 	var spill io.Writer = spillChunkWriter{cn}
-	var tee *os.File
-	final := ""
+	var leaseCopy *logstore.DurableFile
 	if spillDir != "" {
 		if err := os.MkdirAll(spillDir, 0o755); err != nil {
 			return fmt.Errorf("dist: lease %d spill dir: %w", id, err)
 		}
-		final = filepath.Join(spillDir, fmt.Sprintf("lease-%03d.spill", id))
-		f, err := os.Create(final + ".partial")
+		f, err := logstore.CreateDurable(filepath.Join(spillDir, fmt.Sprintf("lease-%03d.spill", id)))
 		if err != nil {
 			return fmt.Errorf("dist: lease %d spill file: %w", id, err)
 		}
-		tee = f
-		defer tee.Close()
+		defer f.Abort()
+		leaseCopy = f
 		spill = io.MultiWriter(spill, f)
 	}
 	if err := crawl(ctx, sites, spill); err != nil {
@@ -317,18 +317,9 @@ func runLease(ctx context.Context, cn *conn, crawl CrawlFunc, id int, sites []in
 	if err := cn.writeFrame(frameLeaseDone, encodeLeaseDone(id)); err != nil {
 		return fmt.Errorf("dist: committing lease %d: %w", id, err)
 	}
-	if tee != nil {
-		if err := tee.Sync(); err != nil {
+	if leaseCopy != nil {
+		if err := leaseCopy.Commit(); err != nil {
 			return fmt.Errorf("dist: lease %d spill file: %w", id, err)
-		}
-		if err := tee.Close(); err != nil {
-			return fmt.Errorf("dist: lease %d spill file: %w", id, err)
-		}
-		if err := os.Rename(final+".partial", final); err != nil {
-			return fmt.Errorf("dist: lease %d spill file: %w", id, err)
-		}
-		if err := fsyncDir(spillDir); err != nil {
-			return fmt.Errorf("dist: lease %d spill dir: %w", id, err)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package logstore
 
 import (
-	"bufio"
 	"bytes"
 	"container/list"
 	"fmt"
@@ -9,21 +8,15 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/measure"
 )
 
 // cacheMagic identifies one cached visit outcome on disk.
 const cacheMagic = "\xF1VCH1"
-
-// manifestName is the recency manifest's filename inside a capped cache
-// directory. Entry files are hex-named *.visit files, so the name can never
-// collide with an entry.
-const manifestName = "manifest"
 
 // VisitOutcome is everything one visit contributes to the survey log: the
 // feature set, invocation and page totals — or the fact that the visit
@@ -57,13 +50,13 @@ type CacheStats struct {
 // outcomes). Entries from another scope degrade to misses.
 //
 // A capped cache (OpenCacheLimited with maxBytes > 0) prunes
-// least-recently-used entries once their total size exceeds the cap. An
-// append-only manifest in the cache directory journals puts, touches, and
-// deletions, so recency survives restarts and neither lookups nor eviction
-// ever scan the directory — the only scan is a one-time seeding when a cap
-// is first applied to a directory without a manifest. The manifest is an
-// accelerator like the cache itself: if it is lost or stale, entries are
-// re-registered as they are hit.
+// least-recently-used entries once their total size exceeds the cap.
+// Recency lives in the entry files themselves: every Put and every hit
+// stamps the entry's mtime from a per-cache clock that strictly increases,
+// so opening a capped cache recovers the exact LRU order from one
+// directory scan (by mtime, then name), and neither lookups nor eviction
+// scan the directory after that. Only *.visit entries are ever tracked or
+// evicted; any other file in the directory is left alone.
 //
 // A Cache is safe for concurrent use; entries are written to a temp file
 // and renamed into place so a crashed run never leaves a torn entry.
@@ -75,13 +68,12 @@ type Cache struct {
 	hits, misses, puts, errors, evictions atomic.Int64
 
 	// Eviction state, active only when maxBytes > 0.
-	mu           sync.Mutex
-	maxBytes     int64
-	totalBytes   int64
-	entries      map[string]*list.Element // entry filename → lru element
-	lru          *list.List               // front = most recently used
-	manifest     *os.File
-	journalLines int
+	mu         sync.Mutex
+	maxBytes   int64
+	totalBytes int64
+	entries    map[string]*list.Element // entry filename → lru element
+	lru        *list.List               // front = most recently used
+	clock      int64                    // last recency stamp, Unix nanoseconds
 }
 
 // cacheEntry is one tracked entry file.
@@ -101,7 +93,7 @@ func OpenCache(dir string, numFeatures int, scope string) (*Cache, error) {
 
 // OpenCacheLimited is OpenCache with a size cap: once the entries exceed
 // maxBytes in total, the least-recently-used are deleted. maxBytes <= 0
-// means unbounded (no manifest is maintained).
+// means unbounded (no recency is kept and nothing but entries is written).
 func OpenCacheLimited(dir string, numFeatures int, scope string, maxBytes int64) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("logstore: opening cache: %w", err)
@@ -114,7 +106,7 @@ func OpenCacheLimited(dir string, numFeatures int, scope string, maxBytes int64)
 		c.maxBytes = maxBytes
 		c.entries = make(map[string]*list.Element)
 		c.lru = list.New()
-		if err := c.loadManifest(); err != nil {
+		if err := c.seedFromDirectory(); err != nil {
 			return nil, err
 		}
 	}
@@ -124,14 +116,10 @@ func OpenCacheLimited(dir string, numFeatures int, scope string, maxBytes int64)
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// path maps a (visit seed, case, scope) key to its entry file. Case and
-// scope are user-influenced strings, so they are hashed rather than
+// entryName maps a (visit seed, case, scope) key to its entry file. Case
+// and scope are user-influenced strings, so they are hashed rather than
 // embedded in the filename; the entry body stores both verbatim for
 // collision safety.
-func (c *Cache) path(seed int64, cs measure.Case) string {
-	return filepath.Join(c.dir, c.entryName(seed, cs))
-}
-
 func (c *Cache) entryName(seed int64, cs measure.Case) string {
 	h := fnv.New64a()
 	h.Write([]byte(cs))
@@ -157,7 +145,7 @@ func (c *Cache) Get(seed int64, cs measure.Case) (VisitOutcome, bool) {
 		return VisitOutcome{}, false
 	}
 	c.hits.Add(1)
-	c.touch(name, int64(len(data)))
+	c.use(name, int64(len(data)))
 	return out, true
 }
 
@@ -184,30 +172,31 @@ func (c *Cache) Put(seed int64, cs measure.Case, out VisitOutcome) error {
 		return err
 	}
 
+	// Unlike the durable files (DurableFile), an entry is renamed into
+	// place without an fsync: the cache only accelerates a run and every
+	// entry is validated on read, while an fsync per visit would cost
+	// ~200k fsyncs at paper scale. An entry torn by a power loss decodes
+	// as a miss, never as a wrong outcome.
 	name := c.entryName(seed, cs)
 	tmp, err := os.CreateTemp(c.dir, ".visit-*")
+	if err == nil {
+		_, err = tmp.Write(buf.Bytes())
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = os.Rename(tmp.Name(), filepath.Join(c.dir, name))
+		}
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}
 	if err != nil {
 		c.errors.Add(1)
 		return fmt.Errorf("logstore: writing cache entry: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		c.errors.Add(1)
-		return fmt.Errorf("logstore: writing cache entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		c.errors.Add(1)
-		return fmt.Errorf("logstore: writing cache entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(c.dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		c.errors.Add(1)
-		return fmt.Errorf("logstore: writing cache entry: %w", err)
-	}
 	c.puts.Add(1)
-	c.record(name, int64(len(buf.Bytes())))
+	c.use(name, int64(len(buf.Bytes())))
 	return nil
 }
 
@@ -274,137 +263,44 @@ func (c *Cache) Stats() CacheStats {
 
 // --- eviction state ---------------------------------------------------
 
-// loadManifest rebuilds the recency list. When the directory has a
-// manifest, it is replayed (later lines are more recent) — no directory
-// scan. When a cap is applied to a directory without one (first capped
-// open, or a deleted manifest), the entries are seeded from a one-time
-// directory listing ordered by modification time. Either way the state is
-// compacted back to one put-line per entry.
-func (c *Cache) loadManifest() error {
-	path := filepath.Join(c.dir, manifestName)
-	f, err := os.Open(path)
-	switch {
-	case err == nil:
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1<<16), 1<<20)
-		for sc.Scan() {
-			op, rest, ok := strings.Cut(sc.Text(), " ")
-			if !ok {
-				continue
-			}
-			switch op {
-			case "p": // p <size> <name>
-				sizeStr, name, ok := strings.Cut(rest, " ")
-				if !ok {
-					continue
-				}
-				size, err := strconv.ParseInt(sizeStr, 10, 64)
-				if err != nil || size < 0 || !validEntryName(name) {
-					continue
-				}
-				c.registerLocked(name, size)
-			case "t": // t <name>
-				if el, ok := c.entries[rest]; ok {
-					c.lru.MoveToFront(el)
-				}
-			case "d": // d <name>
-				c.dropLocked(rest)
-			}
-		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			// A corrupt or truncated manifest (a crash mid-append, a
-			// flipped bit growing a line past any sane length) costs
-			// recency, not correctness: drop whatever replayed and
-			// rebuild from the directory itself, like a first capped
-			// open. compactLocked below then rewrites a clean manifest.
-			c.entries = make(map[string]*list.Element)
-			c.lru.Init()
-			c.totalBytes = 0
-			if err := c.seedFromDirectory(); err != nil {
-				return err
-			}
-		}
-	case os.IsNotExist(err):
-		if err := c.seedFromDirectory(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("logstore: opening cache manifest: %w", err)
-	}
-	return c.compactLocked()
-}
-
-// validEntryName reports whether a manifest-supplied name is a real
-// cache entry filename. Eviction removes tracked names from the cache
-// directory, so a corrupted manifest line must never smuggle in a path
-// that escapes it or aliases the manifest.
-func validEntryName(name string) bool {
-	return strings.HasSuffix(name, ".visit") && !strings.ContainsAny(name, "/\\")
-}
-
-// seedFromDirectory lists existing entries once, oldest first, so a cap
-// applied to a pre-existing uncapped cache starts with sensible recency.
+// seedFromDirectory registers the existing entries in recency order
+// (oldest mtime first, ties by name) and starts the stamp clock after the
+// newest mtime seen, so every later stamp sorts after every existing one.
 func (c *Cache) seedFromDirectory() error {
 	names, err := filepath.Glob(filepath.Join(c.dir, "*.visit"))
 	if err != nil {
-		return fmt.Errorf("logstore: seeding cache manifest: %w", err)
+		return fmt.Errorf("logstore: scanning cache: %w", err)
 	}
 	type aged struct {
-		entry cacheEntry
-		mtime int64
+		name        string
+		size, mtime int64
 	}
 	var found []aged
 	for _, p := range names {
-		info, err := os.Stat(p)
-		if err != nil {
+		info, err := os.Lstat(p)
+		if err != nil || !info.Mode().IsRegular() {
 			continue
 		}
-		found = append(found, aged{cacheEntry{filepath.Base(p), info.Size()}, info.ModTime().UnixNano()})
+		found = append(found, aged{filepath.Base(p), info.Size(), info.ModTime().UnixNano()})
 	}
-	sort.Slice(found, func(i, j int) bool { return found[i].mtime < found[j].mtime })
+	sort.Slice(found, func(i, j int) bool {
+		a, b := found[i], found[j]
+		return a.mtime < b.mtime || a.mtime == b.mtime && a.name < b.name
+	})
 	for _, e := range found {
-		c.registerLocked(e.entry.name, e.entry.size)
+		c.registerLocked(e.name, e.size)
+		c.clock = max(c.clock, e.mtime)
 	}
 	return nil
 }
 
-// compactLocked rewrites the manifest as one put-line per entry, oldest
-// first, and reopens it for appending.
-func (c *Cache) compactLocked() error {
-	if c.manifest != nil {
-		c.manifest.Close()
-		c.manifest = nil
-	}
-	path := filepath.Join(c.dir, manifestName)
-	tmp, err := os.CreateTemp(c.dir, ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("logstore: compacting cache manifest: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(cacheEntry)
-		fmt.Fprintf(w, "p %d %s\n", e.size, e.name)
-	}
-	if err := w.Flush(); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("logstore: compacting cache manifest: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("logstore: reopening cache manifest: %w", err)
-	}
-	c.manifest = f
-	c.journalLines = 0
-	return nil
+// stampLocked marks an entry most recently used on disk by setting its
+// mtime from the cache clock, which never repeats or runs backwards even
+// when the wall clock does. An error means the entry is gone.
+func (c *Cache) stampLocked(name string) error {
+	c.clock = max(c.clock+1, time.Now().UnixNano())
+	t := time.Unix(0, c.clock)
+	return os.Chtimes(filepath.Join(c.dir, name), t, t)
 }
 
 // registerLocked inserts or refreshes an entry at the recency front.
@@ -428,48 +324,23 @@ func (c *Cache) dropLocked(name string) {
 	}
 }
 
-// journalLocked appends one manifest line, compacting when the journal has
-// grown well past the live entry count. Manifest I/O failures are counted
-// and swallowed: recency degrades, correctness does not.
-func (c *Cache) journalLocked(line string) {
-	if c.manifest == nil {
-		return
-	}
-	if _, err := c.manifest.WriteString(line); err != nil {
-		c.errors.Add(1)
-		return
-	}
-	c.journalLines++
-	if c.journalLines > 4*len(c.entries)+64 {
-		if err := c.compactLocked(); err != nil {
-			c.errors.Add(1)
-		}
-	}
-}
-
-// touch marks an entry recently used (registering untracked entries, which
-// self-heals a lost manifest) and prunes if a stale registration pushed the
-// total over the cap.
-func (c *Cache) touch(name string, size int64) {
+// use marks an entry just written or hit as most recently used —
+// registering it if untracked — and prunes until the cache fits its cap.
+// Get and Put touch the file outside the lock, so a concurrent eviction
+// may have deleted it since; evictions run under this lock, so a failed
+// stamp settles it — registering a ghost would inflate totalBytes and
+// evict a live entry in its place.
+func (c *Cache) use(name string, size int64) {
 	if c.maxBytes <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[name]; ok {
-		c.lru.MoveToFront(el)
-		c.journalLocked("t " + name + "\n")
-		return
-	}
-	// Untracked entry. The Get read the file outside the lock, so a
-	// concurrent eviction may have deleted it since; evictions run under
-	// this lock, so a stat here settles it — registering a ghost would
-	// inflate totalBytes and evict a live entry in its place.
-	if _, err := os.Stat(filepath.Join(c.dir, name)); err != nil {
+	if err := c.stampLocked(name); err != nil {
+		c.dropLocked(name)
 		return
 	}
 	c.registerLocked(name, size)
-	c.journalLocked(fmt.Sprintf("p %d %s\n", size, name))
 	c.evictLocked()
 }
 
@@ -480,35 +351,19 @@ func (c *Cache) forget(name string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[name]; ok {
-		c.dropLocked(name)
-		c.journalLocked("d " + name + "\n")
-	}
+	c.dropLocked(name)
 }
 
-// record tracks a fresh Put and prunes least-recently-used entries until
-// the cache fits its cap again.
-func (c *Cache) record(name string, size int64) {
-	if c.maxBytes <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.registerLocked(name, size)
-	c.journalLocked(fmt.Sprintf("p %d %s\n", size, name))
-	c.evictLocked()
-}
-
-// evictLocked deletes from the recency back until under the cap.
+// evictLocked deletes from the recency back until under the cap. Tracked
+// names are only ever entryName results or *.visit files listed in the
+// cache directory, so eviction cannot reach outside it.
 func (c *Cache) evictLocked() {
 	for c.totalBytes > c.maxBytes && c.lru.Len() > 0 {
-		el := c.lru.Back()
-		e := el.Value.(cacheEntry)
+		e := c.lru.Back().Value.(cacheEntry)
 		if err := os.Remove(filepath.Join(c.dir, e.name)); err != nil && !os.IsNotExist(err) {
 			c.errors.Add(1)
 		}
 		c.dropLocked(e.name)
-		c.journalLocked("d " + e.name + "\n")
 		c.evictions.Add(1)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/measure"
@@ -203,43 +205,66 @@ func TestCacheEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestCacheManifestSurvivesReopen proves recency persists: after reopening,
-// eviction still removes the least recently used entry — without the
-// manifest the reopened cache would have no recency at all.
-func TestCacheManifestSurvivesReopen(t *testing.T) {
+// onlyEntries fails the test unless dir holds nothing but *.visit
+// entries (plus the named extra files): the cache keeps no side files.
+func onlyEntries(t *testing.T, dir string, extra ...string) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if filepath.Ext(de.Name()) != ".visit" && !slices.Contains(extra, de.Name()) {
+			t.Errorf("cache wrote %s besides its entries", de.Name())
+		}
+	}
+}
+
+// TestCacheRecencySurvivesReopen proves recency persists in the entries'
+// mtimes: after reopening, eviction removes entries in exactly the
+// least-recently-used order of the previous run. That order matches
+// neither the entries' names nor their write order, and the whole run
+// usually fits in one filesystem timestamp tick, so it can only come from
+// the cache's own strictly increasing stamps.
+func TestCacheRecencySurvivesReopen(t *testing.T) {
 	size := entrySize(t)
 	dir := t.TempDir()
 	c1, err := OpenCacheLimited(dir, 100, "study-a", 3*size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(1); seed <= 3; seed++ {
+	for _, seed := range []int64{2, 3, 1} {
 		if err := c1.Put(seed, measure.CaseDefault, testOutcome()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := c1.Get(1, measure.CaseDefault); !ok { // 2 becomes LRU
-		t.Fatal("entry 1 missing")
+	if _, ok := c1.Get(2, measure.CaseDefault); !ok { // LRU first: 3, 1, 2
+		t.Fatal("entry 2 missing")
 	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("capped cache wrote no manifest: %v", err)
-	}
+	onlyEntries(t, dir)
 
 	c2, err := OpenCacheLimited(dir, 100, "study-a", 3*size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Put(4, measure.CaseDefault, testOutcome()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.Get(2, measure.CaseDefault); ok {
-		t.Error("reopened cache evicted the wrong entry (manifest recency lost)")
-	}
-	for _, seed := range []int64{1, 3, 4} {
-		if _, ok := c2.Get(seed, measure.CaseDefault); !ok {
-			t.Errorf("reopened cache lost recently used entry %d", seed)
+	lru := []int64{3, 1, 2}
+	for i, evicted := range lru {
+		if err := c2.Put(int64(10+i), measure.CaseDefault, testOutcome()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, c2.entryName(evicted, measure.CaseDefault))); !os.IsNotExist(err) {
+			t.Fatalf("put %d: reopened cache kept entry %d, want it evicted (recency lost)", i, evicted)
+		}
+		for _, later := range lru[i+1:] {
+			if _, err := os.Stat(filepath.Join(dir, c2.entryName(later, measure.CaseDefault))); err != nil {
+				t.Fatalf("put %d: entry %d evicted out of LRU order", i, later)
+			}
 		}
 	}
+	if st := c2.Stats(); st.Evictions != 3 {
+		t.Errorf("stats = %+v, want 3 evictions", st)
+	}
+	onlyEntries(t, dir)
 }
 
 // TestCacheCapSeedsFromDirectory applies a cap to a directory populated by
@@ -278,7 +303,7 @@ func TestCacheCapSeedsFromDirectory(t *testing.T) {
 }
 
 // TestCacheUnboundedWritesNoManifest pins that the uncapped cache stays
-// zero-overhead: no manifest file, no eviction.
+// zero-overhead: it writes nothing but entries, and never evicts.
 func TestCacheUnboundedWritesNoManifest(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir, 100, "study-a")
@@ -290,102 +315,17 @@ func TestCacheUnboundedWritesNoManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); !os.IsNotExist(err) {
-		t.Errorf("unbounded cache wrote a manifest: %v", err)
-	}
+	onlyEntries(t, dir)
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Errorf("unbounded cache evicted: %+v", st)
 	}
 }
 
-// corruptibleCache seeds a capped cache directory with three entries and
-// returns (dir, per-entry size). The cache is closed state-wise: tests
-// reopen it after mangling the manifest.
-func corruptibleCache(t *testing.T) (string, int64) {
-	t.Helper()
-	size := entrySize(t)
-	dir := t.TempDir()
-	c, err := OpenCacheLimited(dir, 100, "study-a", 10*size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		if err := c.Put(seed, measure.CaseDefault, testOutcome()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir, size
-}
-
-// reopenAndCheck reopens the capped cache and requires every seeded
-// entry to still be served — a mangled manifest must cost recency at
-// worst, never entries or the open itself.
-func reopenAndCheck(t *testing.T, dir string, size int64) {
-	t.Helper()
-	c, err := OpenCacheLimited(dir, 100, "study-a", 10*size)
-	if err != nil {
-		t.Fatalf("reopening cache over mangled manifest: %v", err)
-	}
-	for seed := int64(1); seed <= 3; seed++ {
-		if _, ok := c.Get(seed, measure.CaseDefault); !ok {
-			t.Errorf("entry %d lost after manifest corruption", seed)
-		}
-	}
-}
-
-func TestCacheToleratesBitFlippedManifest(t *testing.T) {
-	dir, size := corruptibleCache(t)
-	path := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("manifest empty before corruption")
-	}
-	data[len(data)/2] ^= 0x40 // flip a bit mid-manifest
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reopenAndCheck(t, dir, size)
-}
-
-func TestCacheToleratesTruncatedManifest(t *testing.T) {
-	dir, size := corruptibleCache(t)
-	path := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reopenAndCheck(t, dir, size)
-}
-
-func TestCacheRebuildsOnUnscannableManifest(t *testing.T) {
-	dir, size := corruptibleCache(t)
-	path := filepath.Join(dir, manifestName)
-	// A line past the scanner's buffer cap makes replay fail outright;
-	// the cache must rebuild from the directory instead of erroring.
-	junk := make([]byte, 2<<20)
-	for i := range junk {
-		junk[i] = 'x'
-	}
-	if err := os.WriteFile(path, junk, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reopenAndCheck(t, dir, size)
-	// The rebuild compacted a fresh, replayable manifest.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 || data[0] != 'p' {
-		t.Fatalf("manifest not rewritten after rebuild (starts %q)", data[:1])
-	}
-}
-
+// TestCacheManifestCannotEscapeDirectory: eviction never removes a file
+// that is not one of the cache directory's *.visit entries — not a file
+// outside the directory, not a manifest left by an older build (which is
+// ignored, however hostile its contents), not a directory that happens to
+// carry the .visit suffix.
 func TestCacheManifestCannotEscapeDirectory(t *testing.T) {
 	size := entrySize(t)
 	parent := t.TempDir()
@@ -394,23 +334,82 @@ func TestCacheManifestCannotEscapeDirectory(t *testing.T) {
 	if err := os.WriteFile(victim, []byte("precious"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "sub.visit"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// A hostile or corrupted manifest registers a huge entry outside the
-	// cache dir; eviction must never follow it there.
-	manifest := "p 999999999 ../victim.visit\n"
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+	manifest := []byte("p 999999999 ../victim.visit\np 1 manifest\n")
+	if err := os.WriteFile(filepath.Join(dir, "manifest"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("keep"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c, err := OpenCacheLimited(dir, 100, "study-a", size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(1, measure.CaseDefault, testOutcome()); err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 4; seed++ {
+		if err := c.Put(seed, measure.CaseDefault, testOutcome()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 3 {
+		t.Fatalf("stats = %+v, want 3 evictions", st)
 	}
 	if _, err := os.Stat(victim); err != nil {
 		t.Fatalf("eviction escaped the cache directory: %v", err)
 	}
+	if got, err := os.ReadFile(filepath.Join(dir, "manifest")); err != nil || string(got) != string(manifest) {
+		t.Fatalf("old manifest was touched: %q, %v", got, err)
+	}
+	for _, keep := range []string{"notes.txt", "sub.visit"} {
+		if _, err := os.Stat(filepath.Join(dir, keep)); err != nil {
+			t.Errorf("eviction removed %s: %v", keep, err)
+		}
+	}
+	entries, _ := filepath.Glob(filepath.Join(dir, "*.visit"))
+	if len(entries) != 2 { // sub.visit plus the one entry that fits
+		t.Errorf("capped cache left %v", entries)
+	}
+}
+
+// TestCacheCappedConcurrentUse drives one capped cache from several
+// goroutines at once, as a pipeline's workers do: the stamp clock and the
+// recency state must stay consistent (run under -race), and the cap must
+// hold on disk afterwards.
+func TestCacheCappedConcurrentUse(t *testing.T) {
+	size := entrySize(t)
+	dir := t.TempDir()
+	c, err := OpenCacheLimited(dir, 100, "study-a", 8*size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := int64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < 20; i++ {
+				seed := g*100 + i
+				if err := c.Put(seed, measure.CaseDefault, testOutcome()); err != nil {
+					t.Error(err)
+					return
+				}
+				c.Get(seed, measure.CaseDefault)
+				c.Get(seed-1, measure.CaseDefault)
+			}
+		}()
+	}
+	wg.Wait()
+	entries, err := filepath.Glob(filepath.Join(dir, "*.visit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(entries))*size > 8*size {
+		t.Errorf("%d entries on disk exceed the 8-entry cap", len(entries))
+	}
+	if st := c.Stats(); st.Evictions != 80-int64(len(entries)) || st.Errors != 0 {
+		t.Errorf("stats = %+v with %d entries on disk, want 80 puts less the survivors evicted", st, len(entries))
+	}
+	onlyEntries(t, dir)
 }

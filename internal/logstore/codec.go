@@ -121,17 +121,25 @@ func ReadFile(path string) (*measure.Log, error) {
 	return l, nil
 }
 
-// WriteFile encodes the log to the named file with the given codec.
+// WriteFile encodes the log to the named file with the given codec,
+// publishing it through a DurableFile: the file at path is replaced only
+// once the new log is complete and on disk. A torn log must never reach
+// path, because a CSV log cut at a line boundary decodes cleanly as a
+// shorter survey. On an encode error the .partial is removed too.
 func WriteFile(path string, c Codec, l *measure.Log) error {
-	f, err := os.Create(path)
+	f, err := CreateDurable(path)
 	if err != nil {
 		return err
 	}
 	if err := c.Encode(f, l); err != nil {
-		f.Close()
+		f.Abort()
+		os.Remove(f.Name())
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	return f.Close()
+	if err := f.Commit(); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // sortedCases returns a log's case names in canonical (sorted) order; every

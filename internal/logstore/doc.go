@@ -79,6 +79,16 @@
 // connection. A frame stream distinguishes a clean end (io.EOF exactly on
 // a frame boundary) from a death mid-frame (io.ErrUnexpectedEOF).
 //
+// # Durable files
+//
+// Every file that must survive a crash — spill files (CreateAtomic), the
+// -out log (WriteFile), the internal/dist coordinator checkpoint and a
+// worker's lease copies — reaches disk through one DurableFile: it is
+// written as path+".partial", and Commit fsyncs it, renames it to path and
+// fsyncs the directory. A failed or killed write therefore never touches
+// the file at path; at most a .partial is left, which resume scanning
+// salvages for spill files.
+//
 // # Visit cache
 //
 // Cache memoizes VisitOutcomes on disk keyed by (VisitSeed, case). Because
@@ -86,5 +96,8 @@
 // (base seed, site, case, round), a re-run with an overlapping
 // configuration skips every cached visit — hits counted, log byte-identical
 // to the uncached run. Failed visits are cached too; they are just as
-// deterministic.
+// deterministic. A capped cache keeps its least-recently-used order in the
+// entries' mtimes, stamped on every put and hit, so the cache directory
+// holds nothing but *.visit entries. Entries are renamed into place without
+// an fsync: they are validated on read, so a crash costs hits, not bytes.
 package logstore

@@ -140,7 +140,7 @@ type Compaction struct {
 // CompactSpillDir folds every spill file in dir — including .partial
 // files a crash left behind — into one clean CommittedName stream of
 // the durably committed sites, then removes the inputs. The write is
-// atomic (tmp file + rename + directory fsync), so a crash during
+// published through CreateAtomic (a DurableFile), so a crash during
 // compaction never loses committed work: the originals survive until
 // the compacted stream is durable, and the duplicate-site scan makes a
 // re-run converge. The expected study (numFeatures, domains) guards
@@ -195,15 +195,4 @@ func CompactSpillDir(dir string, numFeatures int, domains []string) (*Compaction
 		c.Path = out
 	}
 	return c, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed or just-removed entry
-// survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/measure"
@@ -66,9 +65,7 @@ type SpillRecord struct {
 type Writer struct {
 	mu          sync.Mutex
 	w           *binWriter
-	closer      io.Closer
-	file        *os.File // set when the Writer owns a real file
-	finalPath   string   // atomic mode: rename file to this on Close
+	pub         *DurableFile // set by CreateAtomic: published on a clean Close
 	numFeatures int
 	numDomains  int
 }
@@ -89,28 +86,12 @@ func NewWriter(w io.Writer, numFeatures int, domains []string) (*Writer, error) 
 	return &Writer{w: bw, numFeatures: numFeatures, numDomains: len(domains)}, nil
 }
 
-// Create starts a spill stream in a new file at path.
-func Create(path string, numFeatures int, domains []string) (*Writer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w, err := NewWriter(f, numFeatures, domains)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.closer = f
-	w.file = f
-	return w, nil
-}
-
 // CreateAtomic starts a spill stream that becomes visible at path only
-// on a clean Close: records accumulate in path+".partial", and Close
-// flushes, fsyncs, renames the file into place, and fsyncs the
-// directory. A crash — or a Discard after a failed run — leaves only
-// the .partial file, which resume scanning treats as a torn stream, so
-// a half-written spill can never be mistaken for a complete one.
+// on a clean Close: records accumulate in a DurableFile's path+".partial",
+// and Close flushes and commits it. A crash — or a Discard after a failed
+// run — leaves only the .partial file, which resume scanning treats as a
+// torn stream, so a half-written spill can never be mistaken for a
+// complete one.
 func CreateAtomic(path string, numFeatures int, domains []string) (*Writer, error) {
 	return CreateAtomicTapped(path, numFeatures, domains, nil)
 }
@@ -119,7 +100,7 @@ func CreateAtomic(path string, numFeatures int, domains []string) (*Writer, erro
 // to its file routed through tap(file) first — the seam crash tests use
 // to tear writes at reproducible points. A nil tap is the identity.
 func CreateAtomicTapped(path string, numFeatures int, domains []string, tap func(io.Writer) io.Writer) (*Writer, error) {
-	f, err := os.Create(path + ".partial")
+	f, err := CreateDurable(path)
 	if err != nil {
 		return nil, err
 	}
@@ -129,12 +110,10 @@ func CreateAtomicTapped(path string, numFeatures int, domains []string, tap func
 	}
 	w, err := NewWriter(dst, numFeatures, domains)
 	if err != nil {
-		f.Close()
+		f.Abort()
 		return nil, err
 	}
-	w.closer = f
-	w.file = f
-	w.finalPath = path
+	w.pub = f
 	return w, nil
 }
 
@@ -189,49 +168,33 @@ func (w *Writer) Flush() error {
 	return w.w.flush()
 }
 
-// Close flushes and, when the Writer owns its file, closes it. A
-// Writer from CreateAtomic additionally fsyncs and renames the file to
-// its final name — but only when every earlier write succeeded, so a
-// failed stream is never published as complete.
+// Close flushes and, for a Writer from CreateAtomic, commits its file —
+// but only when every earlier write succeeded, so a failed stream is
+// never published as complete.
 func (w *Writer) Close() error {
 	err := w.Flush()
-	if err == nil && w.file != nil && w.finalPath != "" {
-		err = w.file.Sync()
-	}
-	tmp := ""
-	if w.file != nil {
-		tmp = w.file.Name()
-	}
-	if w.closer != nil {
-		if cerr := w.closer.Close(); err == nil {
-			err = cerr
+	if w.pub != nil {
+		if err == nil {
+			err = w.pub.Commit()
 		}
-		w.closer = nil
-		w.file = nil
+		w.pub.Abort()
+		w.pub = nil
 	}
-	if err == nil && w.finalPath != "" && tmp != "" {
-		if err = os.Rename(tmp, w.finalPath); err == nil {
-			err = syncDir(filepath.Dir(w.finalPath))
-		}
-	}
-	w.finalPath = ""
 	return err
 }
 
 // Discard closes the Writer without publishing its stream: flushed
 // records stay in the .partial file (resume can still salvage any
-// fully committed sites), but the final name is never created. For a
-// non-atomic Writer it is equivalent to Close.
+// fully committed sites), but the final name is never created. A Writer
+// from NewWriter just flushes.
 func (w *Writer) Discard() error {
-	w.finalPath = ""
 	w.Flush()
-	if w.closer != nil {
-		err := w.closer.Close()
-		w.closer = nil
-		w.file = nil
-		return err
+	if w.pub == nil {
+		return nil
 	}
-	return nil
+	err := w.pub.Abort()
+	w.pub = nil
+	return err
 }
 
 // spillHeader is the decoded fixed prelude of one spill stream.

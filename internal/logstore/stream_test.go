@@ -134,7 +134,7 @@ func TestSpillMergeAcrossFiles(t *testing.T) {
 	}
 	writers := make([]*Writer, len(paths))
 	for i, p := range paths {
-		w, err := Create(p, l.NumFeatures, l.Domains)
+		w, err := CreateAtomic(p, l.NumFeatures, l.Domains)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,10 +32,6 @@ type Config struct {
 	// per stripe per batch) and, when spilling, flushing them to disk.
 	// Default 16.
 	BatchSize int
-	// QueueDepth bounds each shard's site queue. Bounded queues make a
-	// stalled stage exert back-pressure instead of buffering the whole
-	// web. Default 2×WorkersPerShard.
-	QueueDepth int
 	// Stripes is the lock-stripe count of the aggregate. Default 16.
 	Stripes int
 	// Cache, when non-nil, memoizes visit outcomes on disk keyed by the
@@ -95,9 +91,6 @@ func (cfg Config) normalized() Config {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 16
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 2 * cfg.WorkersPerShard
 	}
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = 16
@@ -285,7 +278,9 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	shardQueues := make([]chan *synthweb.Site, cfg.Shards)
 	var crawlWG sync.WaitGroup
 	for s := 0; s < cfg.Shards; s++ {
-		shardQueues[s] = make(chan *synthweb.Site, cfg.QueueDepth)
+		// A bounded queue (two sites per worker) makes a stalled stage
+		// exert back-pressure instead of buffering the whole web.
+		shardQueues[s] = make(chan *synthweb.Site, 2*cfg.WorkersPerShard)
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			crawlWG.Add(1)
 			go func(queue <-chan *synthweb.Site, agg *stats.Aggregate, spill *logstore.Writer) {

@@ -53,7 +53,7 @@ func BenchmarkAggregateAddVisit(b *testing.B) {
 // into a bounded aggregate.
 func BenchmarkFromSpills(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.spill")
-	w, err := logstore.Create(path, tNumFeatures, make([]string, tNumSites))
+	w, err := logstore.CreateAtomic(path, tNumFeatures, make([]string, tNumSites))
 	if err != nil {
 		b.Fatal(err)
 	}

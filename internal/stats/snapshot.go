@@ -211,10 +211,9 @@ func (a *Aggregate) Epoch() uint64 {
 // for every derived tally, while the raw invocation/page totals may include
 // visits of still-open sites.
 //
-// Merge publishes automatically after every merge (the lease-commit path),
-// and Config.PublishEvery makes the per-visit path publish after every N
-// folded sites; Publish is for everyone else — a batch load that wants its
-// one snapshot after ingestion, or a server forcing a refresh.
+// Merge publishes automatically after every merge (the lease-commit path);
+// Publish is for everyone else — a batch load that wants its one snapshot
+// after ingestion, or a server forcing a refresh.
 func (a *Aggregate) Publish() *Snapshot {
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
@@ -278,23 +277,4 @@ func (a *Aggregate) publishLocked() *Snapshot {
 
 	a.snap.Store(s)
 	return s
-}
-
-// maybeAutoPublish publishes when the auto-publication threshold
-// (Config.PublishEvery folded sites) has been crossed. folds is the number
-// of sites the caller just folded; it must be called without foldMu held.
-func (a *Aggregate) maybeAutoPublish(folds int) {
-	if a.cfg.PublishEvery <= 0 || folds == 0 {
-		return
-	}
-	a.foldMu.Lock()
-	a.endsSincePub += folds
-	doPub := a.endsSincePub >= a.cfg.PublishEvery
-	if doPub {
-		a.endsSincePub = 0
-	}
-	a.foldMu.Unlock()
-	if doPub {
-		a.Publish()
-	}
 }

@@ -137,41 +137,6 @@ func TestSnapshotEpochSequence(t *testing.T) {
 	}
 }
 
-// TestAutoPublishEvery checks Config.PublishEvery: the per-visit path
-// publishes a fresh epoch after every N folded sites, without anyone
-// calling Publish.
-func TestAutoPublishEvery(t *testing.T) {
-	const every = 4
-	cfg := tConfig()
-	cfg.PublishEvery = every
-	agg, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := tSurvey(42)
-	feed(t, agg, sites)
-
-	folded := 0
-	for _, ev := range sites {
-		if len(ev.visits) > 0 || len(ev.fails) > 0 {
-			folded++ // sites with no events are never opened, so never folded
-		}
-	}
-	if want := uint64(folded / every); agg.Epoch() != want {
-		t.Errorf("epoch after %d folded sites with PublishEvery=%d is %d, want %d",
-			folded, every, agg.Epoch(), want)
-	}
-	if agg.Epoch() == 0 {
-		t.Fatal("auto-publication never fired")
-	}
-	// The auto-published snapshot is a whole-site prefix: everything it
-	// reports is consistent with some number of completed sites — here the
-	// survey is done, so a final Publish must equal the full state.
-	if got, want := sourceSnap(agg.Publish()), sourceSnap(agg); !reflect.DeepEqual(got, want) {
-		t.Error("final snapshot diverges from the aggregate")
-	}
-}
-
 // TestFromLogMatchesLive replays a measurement log through FromLog and
 // requires the result to answer every aggregate query identically to the
 // live aggregate that saw the same survey.

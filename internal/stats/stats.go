@@ -58,11 +58,6 @@ type Config struct {
 	// aggregate into a full measure.Log. Costs O(cases × rounds × sites)
 	// memory; spill-only pipelines leave it off.
 	KeepLog bool
-	// PublishEvery, when positive, auto-publishes a fresh Snapshot after
-	// every N folded sites on the per-visit path (EndSite/Apply). Merge
-	// always publishes regardless; 0 leaves the per-visit path snapshot-
-	// free until someone calls Publish or Snapshot.
-	PublishEvery int
 	// Domains[siteIndex] is the site's domain; required with KeepLog
 	// (the log records domains), ignored otherwise.
 	Domains []string
@@ -150,12 +145,10 @@ type Aggregate struct {
 	// Epoch-snapshot read path (snapshot.go). pubMu serializes snapshot
 	// publication with Merge, so every published snapshot reflects an
 	// integer number of completed merges; snap is the RCU pointer readers
-	// load lock-free; epochSeq (guarded by pubMu) numbers publications;
-	// endsSincePub (guarded by foldMu) drives Config.PublishEvery.
-	pubMu        sync.Mutex
-	snap         atomic.Pointer[Snapshot]
-	epochSeq     uint64
-	endsSincePub int
+	// load lock-free; epochSeq (guarded by pubMu) numbers publications.
+	pubMu    sync.Mutex
+	snap     atomic.Pointer[Snapshot]
+	epochSeq uint64
 }
 
 // New builds an aggregate for a study.
@@ -305,7 +298,6 @@ func (a *Aggregate) Apply(b Batch) error {
 		a.foldLocked(o)
 	}
 	a.foldMu.Unlock()
-	a.maybeAutoPublish(len(folds))
 	return nil
 }
 
@@ -358,7 +350,6 @@ func (a *Aggregate) EndOpenSites() {
 		a.foldLocked(o)
 	}
 	a.foldMu.Unlock()
-	a.maybeAutoPublish(len(folds))
 }
 
 func (a *Aggregate) applyVisitLocked(st *stripe, v Visit) {

@@ -324,7 +324,7 @@ func TestFromSpillsMatchesLive(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "test.spill")
-			w, err := logstore.Create(path, tNumFeatures, make([]string, tNumSites))
+			w, err := logstore.CreateAtomic(path, tNumFeatures, make([]string, tNumSites))
 			if err != nil {
 				t.Fatal(err)
 			}
