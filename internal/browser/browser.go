@@ -24,45 +24,26 @@ type Extension interface {
 	OnDOMReady(p *Page)
 }
 
-// Browser is a reusable browser profile: bindings, fetcher, extensions, and
-// the revisit fast path's caches and pools (see the package documentation).
-// The crawl revisits every URL dozens of times, so the browser caches
-// compiled scripts and parsed page templates across loads and recycles page
-// and runtime structures via Release.
+// Browser is a reusable browser profile: bindings, fetcher, extensions, the
+// revisit fast path's pools, and the Cache of parsed pages and compiled
+// scripts it shares with the other browsers built over that cache (see the
+// package documentation). The crawl revisits every URL dozens of times, so
+// the cache keeps compiled scripts and parsed page templates across loads
+// and the browser recycles page and runtime structures via Release.
 type Browser struct {
 	Bindings   *webapi.Bindings
 	Fetcher    webserver.Fetcher
 	Extensions []Extension
 
-	// dispatch interns the feature references of every script this browser
-	// compiles; executionHost indexes its published slice per op.
-	dispatch *webapi.DispatchTable
-
-	cacheMu   sync.Mutex
-	scripts   *lruCache[*cachedScript]
-	templates *lruCache[*domTemplate]
-	// resolved memoizes resolveURL outcomes (key: page URL + ref) and
-	// navClean the parse+clean of recorded navigation attempts — the two
-	// url.Parse hot spots the revisit workload repeats endlessly.
-	resolved *lruCache[string]
-	navClean *lruCache[navResolved]
+	cache *Cache
 
 	pagePool    sync.Pool // *Page
 	runtimePool sync.Pool // *webapi.Runtime, instrumented by this browser's extensions
 }
 
-// New creates a browser profile.
+// New creates a browser profile over a cache of its own.
 func New(b *webapi.Bindings, f webserver.Fetcher, exts ...Extension) *Browser {
-	return &Browser{
-		Bindings:   b,
-		Fetcher:    f,
-		Extensions: exts,
-		dispatch:   b.NewDispatchTable(),
-		scripts:    newLRUCache[*cachedScript](scriptCacheCap),
-		templates:  newLRUCache[*domTemplate](templateCacheCap),
-		resolved:   newLRUCache[string](resolveCacheCap),
-		navClean:   newLRUCache[navResolved](resolveCacheCap),
-	}
+	return NewCache(b).NewBrowser(f, exts...)
 }
 
 // ScriptError records a script that failed to parse or execute, with its
@@ -127,7 +108,7 @@ type Page struct {
 }
 
 // executionHost adapts a page to the webscript.OpHost interface. refs is the
-// browser dispatch table's published slice, loaded once per statement block.
+// cache dispatch table's published slice, loaded once per statement block.
 type executionHost struct {
 	page *Page
 	refs []webapi.Dispatch
@@ -160,7 +141,7 @@ func (p *Page) runBody(ops []webscript.Op, origin string, refs []webapi.Dispatch
 // resolveURL resolves a possibly relative reference against the page URL,
 // memoized at two levels: a visit-local map on the page (gremlin hordes and
 // timer handlers resolve the same few references thousands of times per
-// visit, lock-free after the first) and the browser's LRU keyed by
+// visit, lock-free after the first) and the cache's LRU keyed by
 // (page URL, ref), which survives page recycling across the cases × rounds
 // revisits of the same URL.
 func (p *Page) resolveURL(ref string) string {
@@ -184,17 +165,18 @@ func (p *Page) resolveURLSlow(ref string) string {
 		// Cheaper than the LRU would be; don't spend entries on it.
 		return s
 	}
+	c := b.cache
 	key := p.urlStr + "\x00" + ref
-	b.cacheMu.Lock()
-	s, ok := b.resolved.get(key)
-	b.cacheMu.Unlock()
+	c.mu.Lock()
+	s, ok := c.resolved.get(key)
+	c.mu.Unlock()
 	if ok {
 		return s
 	}
 	s = slowResolveAgainst(p.URL, ref)
-	b.cacheMu.Lock()
-	b.resolved.put(key, s)
-	b.cacheMu.Unlock()
+	c.mu.Lock()
+	c.resolved.put(key, s)
+	c.mu.Unlock()
 	return s
 }
 
@@ -346,7 +328,7 @@ func (p *Page) reset() {
 // handlers, reusing the cache's compiled op blocks and precompiled
 // selectors.
 func (p *Page) installScript(origin string, cs *cachedScript) {
-	p.runBody(cs.compiled.Immediate, origin, p.browser.dispatch.Refs())
+	p.runBody(cs.compiled.Immediate, origin, p.browser.cache.dispatch.Refs())
 	for i, h := range cs.script.Handlers {
 		bh := boundHandler{h: h, ops: cs.compiled.Bodies[i], origin: origin}
 		if h.Selector != "" {
@@ -375,7 +357,7 @@ func (p *Page) fire(ev webscript.EventType, target *dom.Node) {
 			}
 		}
 		if refs == nil {
-			refs = p.browser.dispatch.Refs()
+			refs = p.browser.cache.dispatch.Refs()
 		}
 		p.runBody(bh.ops, bh.origin, refs)
 	}
@@ -422,7 +404,7 @@ func (p *Page) AdvanceClock(dt float64) {
 			continue
 		}
 		if refs == nil {
-			refs = p.browser.dispatch.Refs()
+			refs = p.browser.cache.dispatch.Refs()
 		}
 		interval := float64(bh.h.Interval)
 		for next := bh.lastRun + interval; next <= target; next += interval {
@@ -489,7 +471,7 @@ type navResolved struct {
 // calls this once per page with per-Visitor scratch instead of allocating
 // fresh maps and a slice every page. Raw attempts repeat heavily (timer
 // handlers re-navigate the same path every tick), so identical raws are
-// dropped before parsing and parse results are memoized in the browser.
+// dropped before parsing and parse results are memoized in the cache.
 func (p *Page) LocalNavAttemptsInto(sameSite func(host string) bool, seen, rawSeen map[string]bool, out []string) []string {
 	clear(seen)
 	clear(rawSeen)
@@ -502,18 +484,18 @@ func (p *Page) LocalNavAttemptsInto(sameSite func(host string) bool, seen, rawSe
 		var nr navResolved
 		ok := false
 		if b != nil {
-			b.cacheMu.Lock()
-			nr, ok = b.navClean.get(raw)
-			b.cacheMu.Unlock()
+			b.cache.mu.Lock()
+			nr, ok = b.cache.navClean.get(raw)
+			b.cache.mu.Unlock()
 		}
 		if !ok {
 			if u, err := url.Parse(raw); err == nil {
 				nr = navResolved{clean: u.Scheme + "://" + u.Host + u.Path, host: u.Hostname()}
 			}
 			if b != nil {
-				b.cacheMu.Lock()
-				b.navClean.put(raw, nr)
-				b.cacheMu.Unlock()
+				b.cache.mu.Lock()
+				b.cache.navClean.put(raw, nr)
+				b.cache.mu.Unlock()
 			}
 		}
 		if nr.clean == "" || !sameSite(nr.host) {

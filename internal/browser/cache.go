@@ -5,11 +5,54 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"sync"
 
 	"repro/internal/dom"
 	"repro/internal/html"
+	"repro/internal/webapi"
 	"repro/internal/webscript"
+	"repro/internal/webserver"
 )
+
+// Cache is the parse-and-compile state shared by the browsers built over it:
+// the dispatch table, page templates, compiled scripts and URL-resolution
+// memos. Every entry depends only on its key (URL, source text, or page URL
+// and reference), never on the browser that filled it — extensions veto
+// fetches before the script cache is asked and mutate only their page's
+// clone — so one browser's miss is every browser's hit. Safe for concurrent
+// use.
+type Cache struct {
+	bindings *webapi.Bindings
+	dispatch *webapi.DispatchTable
+
+	mu        sync.Mutex
+	scripts   *lruCache[*cachedScript]
+	templates *lruCache[*domTemplate]
+	// resolved memoizes resolveURL outcomes (key: page URL + ref) and
+	// navClean the parse+clean of recorded navigation attempts — the two
+	// url.Parse hot spots the revisit workload repeats endlessly.
+	resolved *lruCache[string]
+	navClean *lruCache[navResolved]
+}
+
+// NewCache creates an empty cache over the bindings.
+func NewCache(b *webapi.Bindings) *Cache {
+	return &Cache{
+		bindings:  b,
+		dispatch:  b.NewDispatchTable(),
+		scripts:   newLRUCache[*cachedScript](scriptCacheCap),
+		templates: newLRUCache[*domTemplate](templateCacheCap),
+		resolved:  newLRUCache[string](resolveCacheCap),
+		navClean:  newLRUCache[navResolved](resolveCacheCap),
+	}
+}
+
+// NewBrowser creates a browser profile over the cache. Its page and runtime
+// pools are its own, because a pooled runtime carries the browser's
+// extension shims.
+func (c *Cache) NewBrowser(f webserver.Fetcher, exts ...Extension) *Browser {
+	return &Browser{Bindings: c.bindings, Fetcher: f, Extensions: exts, cache: c}
+}
 
 // scriptCacheCap bounds the parsed-script cache (external and inline
 // entries); site visits are processed consecutively, so locality is high.
@@ -87,7 +130,7 @@ type compiledSel struct {
 
 // cachedScript is one parse outcome in the script cache: the script lowered
 // once to compiled ops whose feature references are interned in the
-// browser's dispatch table, with every handler selector precompiled (both
+// cache's dispatch table, with every handler selector precompiled (both
 // aligned with script.Handlers). err is set, and the rest unset, when the
 // script failed to fetch, parse or compile.
 type cachedScript struct {
@@ -102,14 +145,14 @@ type cachedScript struct {
 var errNotCompiled = errors.New("webscript: script does not compile")
 
 // newCachedScript parses source text, compiles the script against the
-// browser's dispatch table, and precompiles handler selectors. Everything
+// cache's dispatch table, and precompiles handler selectors. Everything
 // per-execution code needs is derived here, once per cache insert.
 func (b *Browser) newCachedScript(src string) *cachedScript {
 	s, err := webscript.Parse(src)
 	if err != nil {
 		return &cachedScript{err: err}
 	}
-	c := webscript.Compile(s, b.dispatch)
+	c := webscript.Compile(s, b.cache.dispatch)
 	if c == nil {
 		return &cachedScript{err: errNotCompiled}
 	}
@@ -151,9 +194,10 @@ type domTemplate struct {
 // the first visit. Fetch and parse errors are not cached: a failed document
 // load is fatal to the visit and the retry cost is irrelevant.
 func (b *Browser) template(rawURL string) (*domTemplate, error) {
-	b.cacheMu.Lock()
-	t, ok := b.templates.get(rawURL)
-	b.cacheMu.Unlock()
+	c := b.cache
+	c.mu.Lock()
+	t, ok := c.templates.get(rawURL)
+	c.mu.Unlock()
 	if ok {
 		return t, nil
 	}
@@ -165,9 +209,9 @@ func (b *Browser) template(rawURL string) (*domTemplate, error) {
 	t = &domTemplate{url: u, scripts: collectScripts(doc, u)}
 	t.tpl = dom.NewTemplate(doc) // freezes doc; must be the last use of it
 
-	b.cacheMu.Lock()
-	b.templates.put(rawURL, t)
-	b.cacheMu.Unlock()
+	c.mu.Lock()
+	c.templates.put(rawURL, t)
+	c.mu.Unlock()
 	return t, nil
 }
 
@@ -271,16 +315,17 @@ func fastRefPath(ref string) bool {
 // misses may build twice and last-put wins, which is harmless (entries for
 // one key are interchangeable).
 func (b *Browser) cachedScriptFor(key string, build func() *cachedScript) *cachedScript {
-	b.cacheMu.Lock()
-	cs, ok := b.scripts.get(key)
-	b.cacheMu.Unlock()
+	c := b.cache
+	c.mu.Lock()
+	cs, ok := c.scripts.get(key)
+	c.mu.Unlock()
 	if ok {
 		return cs
 	}
 	cs = build()
-	b.cacheMu.Lock()
-	b.scripts.put(key, cs)
-	b.cacheMu.Unlock()
+	c.mu.Lock()
+	c.scripts.put(key, cs)
+	c.mu.Unlock()
 	return cs
 }
 

@@ -12,9 +12,15 @@
 // # The revisit fast path
 //
 // The survey loads every page of every site once per case per round, so the
-// same URL is loaded dozens of times per browser. Load is built around that
-// revisit pattern; these mechanisms (all per-Browser) make a repeat load
-// allocate almost nothing:
+// same URL is loaded dozens of times per crawl worker. Load is built around
+// that revisit pattern; these mechanisms make a repeat load allocate almost
+// nothing. The caches — templates, compiled scripts, the dispatch table and
+// the URL memos — live in a Cache shared by the browsers built over it
+// (Cache.NewBrowser; a crawl worker builds one per case, New one with a cache
+// of its own); the page and runtime pools stay per browser, because a pooled
+// runtime carries its browser's extension shims. Cached entries depend only
+// on the URL or source text, never on the browser that filled them, so any
+// browser's first load serves every other browser's repeat load:
 //
 //   - DOM template cache. The first load of a URL parses the document once
 //     into a frozen dom.Template; every load — including the first — then
@@ -45,7 +51,7 @@
 //
 //   - Compiled script dispatch. Script-cache entries carry the compiled
 //     form of the parsed script (webscript.Compile): every statement's
-//     "Interface.member" reference is interned once into the browser's
+//     "Interface.member" reference is interned once into the cache's
 //     webapi.DispatchTable, so executing a statement indexes a published
 //     []webapi.Dispatch — with the feature pointer and any error outcome
 //     precomputed — instead of resolving two map-keyed strings per call.
@@ -54,7 +60,7 @@
 //     recorded as a script error.
 //
 //   - URL-resolution memos. resolveURL is memoized visit-locally on the
-//     page and across revisits in a browser LRU, and unambiguous
+//     page and across revisits in a cache LRU, and unambiguous
 //     absolute-path references concatenate onto the page origin without
 //     touching net/url at all (TestResolveAgainstFastPath pins the fast
 //     and slow paths byte for byte).

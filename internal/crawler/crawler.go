@@ -158,8 +158,10 @@ func VisitSeed(base int64, site int, cs measure.Case, round int) int64 {
 }
 
 // Visitor crawls sites under one browser configuration. A Visitor owns one
-// browser (and its script cache) and must be used from a single goroutine;
-// create one per worker via NewVisitor.
+// browser, which shares its parsed pages, compiled scripts and dispatch
+// table with the other Visitors built by the same NewVisitors call. All
+// Visitors of one call must be used from a single goroutine; a worker
+// builds its own set with NewVisitors.
 type Visitor struct {
 	crawler  *Crawler
 	cfg      Config
@@ -185,23 +187,41 @@ type Visitor struct {
 }
 
 // NewVisitor builds a single-goroutine visitor for one browser
-// configuration, wiring the measurer and the case's blocking extensions.
+// configuration over a cache of its own.
 func (c *Crawler) NewVisitor(cs measure.Case) (*Visitor, error) {
-	m := extension.NewMeasurer()
-	exts, err := c.extensionsFor(cs, m)
+	vs, err := c.NewVisitors([]measure.Case{cs})
 	if err != nil {
 		return nil, err
 	}
+	return vs[0], nil
+}
+
+// NewVisitors builds one visitor per case, wiring each case's measurer and
+// blocking extensions, over one new browser cache and one fetcher: a
+// worker's case browsers revisit the same site's URLs, so each page is
+// fetched and parsed, and each script compiled, once per worker instead of
+// once per case. The visitors share one goroutine.
+func (c *Crawler) NewVisitors(cases []measure.Case) ([]*Visitor, error) {
 	fetcher := webserver.Fetcher(webserver.DirectFetcher{Web: c.Web})
 	if c.NewFetcher != nil {
 		fetcher = c.NewFetcher()
 	}
-	return &Visitor{
-		crawler:  c,
-		cfg:      c.Cfg,
-		browser:  browser.New(c.Bindings, fetcher, exts...),
-		measurer: m,
-	}, nil
+	cache := browser.NewCache(c.Bindings)
+	vs := make([]*Visitor, len(cases))
+	for i, cs := range cases {
+		m := extension.NewMeasurer()
+		exts, err := c.extensionsFor(cs, m)
+		if err != nil {
+			return nil, err
+		}
+		vs[i] = &Visitor{
+			crawler:  c,
+			cfg:      c.Cfg,
+			browser:  cache.NewBrowser(fetcher, exts...),
+			measurer: m,
+		}
+	}
+	return vs, nil
 }
 
 // ensureScratch builds the interned per-visit state on first use (lazily,

@@ -9,8 +9,9 @@
 // navigations.
 //
 // The package holds the per-visit mechanics only. Visitor (via
-// Crawler.NewVisitor) builds the browser stack, monkey-tests pages and
-// samples the site breadth-first; Visitor.CrawlOnce performs one visit.
+// Crawler.NewVisitors, one per case over one shared browser cache) builds
+// the browser stack, monkey-tests pages and samples the site
+// breadth-first; Visitor.CrawlOnce performs one visit.
 // Scheduling belongs to internal/pipeline, which drives Visitors across
 // shards and worker pools. Every visit draws its randomness from VisitSeed,
 // so the log is the same at every engine geometry.

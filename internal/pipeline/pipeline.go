@@ -360,25 +360,24 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 }
 
 // crawlWorker drains one shard queue. For each site it runs every
-// configured case for every round: a failed visit marks the site unmeasurable and skips the case's remaining
-// rounds, but other cases still run. Completed visits accumulate into a
-// batch that is folded into the shard's aggregate — and, when the shard
-// spills, flushed to its spill writer — every BatchSize observations. When
-// a site's last case finishes, a site-end event rides the same batch, so
-// the aggregate retires the site's accumulator and spill readers can do
-// the same.
+// configured case for every round: a failed visit marks the site
+// unmeasurable and skips the case's remaining rounds, but other cases still
+// run. The worker's case visitors share one browser cache, so a site's
+// pages are parsed and its scripts compiled once per worker, not per case;
+// the cache lives exactly as long as the worker. Completed visits
+// accumulate into a batch that is folded into the shard's aggregate — and,
+// when the shard spills, flushed to its spill writer — every BatchSize
+// observations. When a site's last case finishes, a site-end event rides
+// the same batch, so the aggregate retires the site's accumulator and spill
+// readers can do the same.
 func (e *Engine) crawlWorker(ctx context.Context, cr *crawler.Crawler, cfg Config, numFeatures int, queue <-chan *synthweb.Site, agg *stats.Aggregate, spill *logstore.Writer) error {
-	visitors := make(map[measure.Case]*crawler.Visitor, len(cfg.Crawl.Cases))
-	for _, cs := range cfg.Crawl.Cases {
-		v, err := cr.NewVisitor(cs)
-		if err != nil {
-			// Drain the queue so the sharder never blocks on a
-			// dead worker pool, then report the config error.
-			for range queue {
-			}
-			return err
+	visitors, err := cr.NewVisitors(cfg.Crawl.Cases)
+	if err != nil {
+		// Drain the queue so the sharder never blocks on a dead worker
+		// pool, then report the config error.
+		for range queue {
 		}
-		visitors[cs] = v
+		return err
 	}
 
 	var pending stats.Batch
@@ -398,8 +397,8 @@ func (e *Engine) crawlWorker(ctx context.Context, cr *crawler.Crawler, cfg Confi
 	defer flush()
 
 	for site := range queue {
-		for _, cs := range cfg.Crawl.Cases {
-			v := visitors[cs]
+		for i, cs := range cfg.Crawl.Cases {
+			v := visitors[i]
 			for round := 0; round < cfg.Crawl.Rounds; round++ {
 				if ctx.Err() != nil {
 					// Graceful cancellation: stop issuing

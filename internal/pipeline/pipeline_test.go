@@ -14,6 +14,7 @@ import (
 	"repro/internal/synthweb"
 	"repro/internal/webapi"
 	"repro/internal/webidl"
+	"repro/internal/webserver"
 )
 
 // Shared small study: 90 sites, full methodology, fixed seed. The sequential
@@ -190,6 +191,59 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 	}
 	if *slowStats != *baseStats {
 		t.Errorf("fresh-visitor stats = %+v, want %+v", *slowStats, *baseStats)
+	}
+}
+
+// documentFetches counts the successful document fetches of every fetcher
+// it builds, per URL.
+type documentFetches struct {
+	mu   sync.Mutex
+	urls map[string]int
+}
+
+func (d *documentFetches) newFetcher() webserver.Fetcher {
+	return countingFetcher{d, webserver.DirectFetcher{Web: testWeb}}
+}
+
+type countingFetcher struct {
+	d *documentFetches
+	f webserver.Fetcher
+}
+
+func (c countingFetcher) Fetch(rawURL string) (synthweb.Resource, error) {
+	res, err := c.f.Fetch(rawURL)
+	if err == nil && res.ContentType == "text/html" {
+		c.d.mu.Lock()
+		c.d.urls[rawURL]++
+		c.d.mu.Unlock()
+	}
+	return res, err
+}
+
+// TestWorkerCasesShareOneCache is the mechanism behind the worker's shared
+// browser cache: at 1×1 one worker runs all four cases over every round of
+// each site, and no document may be fetched successfully twice — every
+// case browser after the first, and every later round, is served the
+// parsed template. The log must still equal the sequential baseline.
+func TestWorkerCasesShareOneCache(t *testing.T) {
+	setup(t)
+	fetches := &documentFetches{urls: map[string]int{}}
+	eng := New(testWeb, testBind, Config{Shards: 1, WorkersPerShard: 1, Crawl: sequentialConfig()})
+	eng.NewFetcher = fetches.newFetcher
+	res, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csvBytes(t, res.Log), csvBytes(t, baseLog)) {
+		t.Error("log differs from the sequential baseline")
+	}
+	if len(fetches.urls) == 0 {
+		t.Fatal("no document fetched")
+	}
+	for url, n := range fetches.urls {
+		if n > 1 {
+			t.Errorf("%s fetched %d times by one worker", url, n)
+		}
 	}
 }
 

@@ -28,17 +28,22 @@ type Dispatch struct {
 }
 
 // DispatchTable interns "Interface.member" references to dense IDs against
-// one Bindings. A browser owns one table and shares it across every script
-// it compiles, so hot cross-site scripts intern each reference exactly once
-// per browser. Interning is mutex-guarded; Refs is a lock-free atomic
-// snapshot for the execution hot path.
+// one Bindings. A browser.Cache owns one table, shared by every browser over
+// the cache and every script they compile, so hot cross-site scripts intern
+// each reference exactly once per cache. Interning is mutex-guarded and
+// appends in amortized constant time; Refs is a lock-free atomic snapshot
+// for the execution hot path.
 type DispatchTable struct {
 	b  *Bindings
 	mu sync.Mutex
 	// ids maps "Interface.member" to the dense ref ID.
 	ids map[string]int
-	// refs is the published dispatch slice; entries are immutable once
-	// published, and every publication is a fresh, grown copy.
+	// all is the append-only backing slice (spare capacity), guarded by mu.
+	all []Dispatch
+	// refs publishes all[:n:n]. A published entry is never written again
+	// and a reader never indexes past its snapshot's length, so appends
+	// into the spare capacity cannot race with reads, and cap == len makes
+	// a caller's append copy instead of writing into the table.
 	refs atomic.Pointer[[]Dispatch]
 }
 
@@ -77,19 +82,18 @@ func (t *DispatchTable) InternRef(iface, member string) int {
 		d.SetErr = fmt.Errorf("webapi: cannot assign to read only property %s", f.Name())
 	}
 
-	old := *t.refs.Load()
-	grown := make([]Dispatch, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = d
-	id := len(old)
+	id := len(t.all)
+	t.all = append(t.all, d)
 	t.ids[key] = id
-	t.refs.Store(&grown)
+	published := t.all[:len(t.all):len(t.all)]
+	t.refs.Store(&published)
 	return id
 }
 
 // Refs returns the current dispatch slice: one atomic load, safe to index by
-// any ID interned before the call and valid forever (publication copies,
-// never mutates).
+// any ID interned before the call and valid forever (later interning only
+// appends past its length). The slice is full to capacity, so appending to
+// it copies and never writes into the table.
 func (t *DispatchTable) Refs() []Dispatch {
 	return *t.refs.Load()
 }

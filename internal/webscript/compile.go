@@ -5,7 +5,8 @@ package webscript
 // timer dispatch), so walking []Stmt interface values with a type switch per
 // run is pure overhead. Compile lowers a parsed Script once — at script-cache
 // insert — into flat op slices whose feature operands are interned to dense
-// IDs by the host (the browser shares one string → ID table per Browser), so
+// IDs by the host (the browsers over one browser.Cache share one string → ID
+// table), so
 // executing a statement is an index into a dispatch slice instead of a
 // map-keyed string lookup. Compiled ops are the only way scripts execute; the
 // AST interpreter they replaced lives in this package's tests as the
