@@ -6,12 +6,12 @@ import (
 	"repro/internal/webidl"
 )
 
-func benchRegistry(b *testing.B) *webidl.Registry {
-	b.Helper()
+func testRegistry(tb testing.TB) *webidl.Registry {
+	tb.Helper()
 	if testReg == nil {
 		reg, err := webidl.Generate(1)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		testReg = reg
 	}
@@ -19,7 +19,7 @@ func benchRegistry(b *testing.B) *webidl.Registry {
 }
 
 func BenchmarkGenerate1k(b *testing.B) {
-	reg := benchRegistry(b)
+	reg := testRegistry(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -30,7 +30,7 @@ func BenchmarkGenerate1k(b *testing.B) {
 }
 
 func BenchmarkProfileCalibration(b *testing.B) {
-	reg := benchRegistry(b)
+	reg := testRegistry(b)
 	sites := make([]int, 1000)
 	for i := range sites {
 		sites[i] = i
@@ -73,9 +73,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.planMu.Lock()
-		delete(w.planCache, site.Index)
-		w.planMu.Unlock()
+		w.dropPlan(site.Index)
 		w.planOf(site)
 	}
 }

@@ -10,4 +10,9 @@
 // then emits concrete HTML and WebScript whose dynamic behaviour realizes
 // the profile. The analysis pipeline only ever sees the crawler's
 // measurements — never the profile.
+//
+// A site is materialized on its first request, its HTML written straight to
+// bytes with no DOM in between. A Web keeps the plans of the sites in flight,
+// one per pipeline worker, and drops the least recently used; a plan depends
+// only on the seed and the site, so a rebuilt one serves the same bytes.
 package synthweb

@@ -1,12 +1,12 @@
 package synthweb
 
 import (
-	"fmt"
+	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/dom"
 	"repro/internal/html"
 	"repro/internal/standards"
 	"repro/internal/webidl"
@@ -32,6 +32,7 @@ type sitePlan struct {
 	// adHost/trackerHost/dualHost are the site's chosen third-party
 	// service domains.
 	partyHost map[Party]string
+	site      int // the site's index
 }
 
 // pagePlan is one page of a site.
@@ -46,28 +47,29 @@ type pagePlan struct {
 	thirdPartySource map[Party]string
 }
 
-// pageKeys returns all page keys of the fixed site layout: a home page,
-// three sections, and five leaves per section. The crawler's 13-page BFS
-// visits home + 3 sections + 9 of the 15 leaves.
-func pageKeys() []string {
-	keys := []string{"home", "sec1", "sec2", "sec3"}
-	for s := 1; s <= 3; s++ {
-		for p := 1; p <= 5; p++ {
-			keys = append(keys, fmt.Sprintf("sec%dp%d", s, p))
-		}
-	}
-	return keys
+// pageKeys lists the fixed site layout: a home page, three sections, and
+// five leaves per section. The crawler's 13-page BFS visits home + 3
+// sections + 9 of the 15 leaves. Callers only read it and pagePaths.
+var pageKeys = []string{
+	"home", "sec1", "sec2", "sec3",
+	"sec1p1", "sec1p2", "sec1p3", "sec1p4", "sec1p5",
+	"sec2p1", "sec2p2", "sec2p3", "sec2p4", "sec2p5",
+	"sec3p1", "sec3p2", "sec3p3", "sec3p4", "sec3p5",
 }
 
-func pathOfKey(key string) string {
-	if key == "home" {
-		return "/"
-	}
-	if len(key) == 4 { // secN
-		return "/" + key
-	}
-	return fmt.Sprintf("/%s/p%s", key[:4], key[5:]) // secNpM → /secN/pM
+// pagePaths holds the URL path of each of pageKeys, index for index.
+var pagePaths = []string{
+	"/", "/sec1", "/sec2", "/sec3",
+	"/sec1/p1", "/sec1/p2", "/sec1/p3", "/sec1/p4", "/sec1/p5",
+	"/sec2/p1", "/sec2/p2", "/sec2/p3", "/sec2/p4", "/sec2/p5",
+	"/sec3/p1", "/sec3/p2", "/sec3/p3", "/sec3/p4", "/sec3/p5",
 }
+
+// leafPath returns the URL path of leaf p of section sec, both 1-based.
+func leafPath(sec, p int) string { return pagePaths[4+(sec-1)*5+p-1] }
+
+// actionSelectors are the selectors of a page's four action buttons.
+var actionSelectors = [4]string{"#act-0", "#act-1", "#act-2", "#act-3"}
 
 // placement is one statement's location in the site.
 type placement struct {
@@ -80,10 +82,33 @@ type placement struct {
 }
 
 // buildPlan materializes a site deterministically from its profile
-// assignments.
+// assignments: its scripts first, then its pages' HTML, all from one rng
+// stream.
 func (w *Web) buildPlan(site *Site) *sitePlan {
-	rng := rand.New(rand.NewSource(w.Cfg.Seed ^ (int64(site.Index)+1)*2654435761))
+	rng := rand.New(rand.NewSource(w.siteSeed(site)))
+	plan := w.planScripts(site, rng)
+	// One buffer serves every page; String copies each page out at its
+	// exact size, so no page pins a larger backing array.
+	var buf bytes.Buffer
+	for _, k := range pageKeys {
+		page := plan.pages[k]
+		buf.Reset()
+		w.renderPage(&buf, site, plan, page, rng)
+		page.html = buf.String()
+	}
+	return plan
+}
+
+// siteSeed seeds the one rng stream a site's plan draws from.
+func (w *Web) siteSeed(site *Site) int64 {
+	return w.Cfg.Seed ^ (int64(site.Index)+1)*2654435761
+}
+
+// planScripts lays out a site's pages and serializes the scripts each page
+// serves, leaving the pages' HTML to renderPage.
+func (w *Web) planScripts(site *Site, rng *rand.Rand) *sitePlan {
 	plan := &sitePlan{
+		site:      site.Index,
 		pages:     make(map[string]*pagePlan),
 		byPath:    make(map[string]*pagePlan),
 		partyHost: make(map[Party]string),
@@ -92,9 +117,8 @@ func (w *Web) buildPlan(site *Site) *sitePlan {
 	plan.partyHost[PartyTracker] = w.TrackerDomains[(site.Index*13)%len(w.TrackerDomains)]
 	plan.partyHost[PartyDual] = w.DualDomains[(site.Index*17)%len(w.DualDomains)]
 
-	keys := pageKeys()
-	for _, k := range keys {
-		plan.pages[k] = &pagePlan{key: k, path: pathOfKey(k), thirdPartySource: make(map[Party]string)}
+	for i, k := range pageKeys {
+		plan.pages[k] = &pagePlan{key: k, path: pagePaths[i], thirdPartySource: make(map[Party]string)}
 		plan.byPath[plan.pages[k].path] = plan.pages[k]
 	}
 
@@ -148,9 +172,9 @@ func (w *Web) buildPlan(site *Site) *sitePlan {
 	h := handlerOf(nav, webscript.EventClick, "#act-0", 1)
 	h.Body = append(h.Body, webscript.Navigate{Path: "/sec1/p2"})
 	for i := 1; i <= 3; i++ {
-		s := scriptOf(PartyFirst, fmt.Sprintf("sec%d", i))
+		s := scriptOf(PartyFirst, pageKeys[i])
 		h := handlerOf(s, webscript.EventClick, "#act-1", 1)
-		h.Body = append(h.Body, webscript.Navigate{Path: fmt.Sprintf("/sec%d/p%d", i, 1+rng.Intn(5))})
+		h.Body = append(h.Body, webscript.Navigate{Path: leafPath(i, 1+rng.Intn(5))})
 	}
 	// Ad popup behaviour: clicking the ad element attempts an external
 	// navigation (intercepted by the crawler).
@@ -163,8 +187,8 @@ func (w *Web) buildPlan(site *Site) *sitePlan {
 		}
 	}
 
-	// Serialize scripts and render pages.
-	for _, k := range keys {
+	// Serialize scripts.
+	for _, k := range pageKeys {
 		page := plan.pages[k]
 		if s, ok := scripts[scriptKey{PartyFirst, k}]; ok {
 			page.firstPartySource = webscript.Format(s)
@@ -176,7 +200,6 @@ func (w *Web) buildPlan(site *Site) *sitePlan {
 				page.thirdPartySource[party] = webscript.Format(s)
 			}
 		}
-		page.html = w.renderPage(site, plan, page, rng)
 	}
 	return plan
 }
@@ -205,9 +228,6 @@ func (w *Web) placeAssignments(site *Site, rng *rand.Rand) map[Party][]placement
 		g.members = append(g.members, a)
 	}
 
-	leafKeys := pageKeys()[4:]
-	sectionKeys := pageKeys()[1:4]
-
 	for _, g := range groups {
 		target := len(w.Profile.SitesUsing(g.std))
 		gated := target >= gatedMinSites && rng.Float64() < gatedShare
@@ -223,7 +243,7 @@ func (w *Web) placeAssignments(site *Site, rng *rand.Rand) map[Party][]placement
 				// does (Figure 9's outliers).
 				pl = placement{pageKey: "home", event: webscript.EventMove, stmt: stmt}
 			case gated:
-				pl = w.gatedPlacement(stmt, leafKeys, sectionKeys, rng)
+				pl = w.gatedPlacement(stmt, rng)
 			case i == 0:
 				// The group's first instance loads on the home
 				// page, guaranteeing the standard is observable
@@ -257,8 +277,8 @@ func stmtFor(a Assignment, rng *rand.Rand) webscript.Stmt {
 // interaction on top. The per-round discovery probability of a gated
 // placement is roughly the leaf-visit rate (~0.6), which produces the
 // paper's Table 3 decay.
-func (w *Web) gatedPlacement(stmt webscript.Stmt, leafKeys, sectionKeys []string, rng *rand.Rand) placement {
-	leaf := leafKeys[rng.Intn(len(leafKeys))]
+func (w *Web) gatedPlacement(stmt webscript.Stmt, rng *rand.Rand) placement {
+	leaf := pageKeys[4+rng.Intn(len(pageKeys)-4)]
 	switch r := rng.Float64(); {
 	case r < 0.55:
 		// Leaf-page load.
@@ -268,7 +288,7 @@ func (w *Web) gatedPlacement(stmt webscript.Stmt, leafKeys, sectionKeys []string
 		return placement{
 			pageKey:  leaf,
 			event:    webscript.EventClick,
-			selector: fmt.Sprintf("#act-%d", rng.Intn(4)),
+			selector: actionSelectors[rng.Intn(4)],
 			stmt:     stmt,
 		}
 	case r < 0.90:
@@ -282,21 +302,20 @@ func (w *Web) gatedPlacement(stmt webscript.Stmt, leafKeys, sectionKeys []string
 
 // freePlacement spreads non-critical instances across the site.
 func (w *Web) freePlacement(stmt webscript.Stmt, rng *rand.Rand) placement {
-	keys := pageKeys()
 	var pageKey string
 	switch r := rng.Float64(); {
 	case r < 0.45:
 		pageKey = "home"
 	case r < 0.75:
-		pageKey = keys[1+rng.Intn(3)] // a section
+		pageKey = pageKeys[1+rng.Intn(3)] // a section
 	default:
-		pageKey = keys[4+rng.Intn(len(keys)-4)] // a leaf
+		pageKey = pageKeys[4+rng.Intn(len(pageKeys)-4)] // a leaf
 	}
 	switch r := rng.Float64(); {
 	case r < 0.70:
 		return placement{pageKey: pageKey, load: true, stmt: stmt}
 	case r < 0.82:
-		return placement{pageKey: pageKey, event: webscript.EventClick, selector: fmt.Sprintf("#act-%d", rng.Intn(4)), stmt: stmt}
+		return placement{pageKey: pageKey, event: webscript.EventClick, selector: actionSelectors[rng.Intn(4)], stmt: stmt}
 	case r < 0.90:
 		return placement{pageKey: pageKey, event: webscript.EventScroll, stmt: stmt}
 	case r < 0.96:
@@ -307,131 +326,96 @@ func (w *Web) freePlacement(stmt webscript.Stmt, rng *rand.Rand) placement {
 	}
 }
 
-// renderPage builds the page's HTML document.
-func (w *Web) renderPage(site *Site, plan *sitePlan, page *pagePlan, rng *rand.Rand) string {
-	doc := dom.NewDocument()
-	htmlEl := dom.NewElement("html")
-	doc.AppendChild(htmlEl)
+// pageControls closes a page's content div after its paragraphs: four
+// action buttons and the search form.
+const pageControls = `<button id="act-0" data-action="action-0">Action 0</button>` +
+	`<button id="act-1" data-action="action-1">Action 1</button>` +
+	`<button id="act-2" data-action="action-2">Action 2</button>` +
+	`<button id="act-3" data-action="action-3">Action 3</button>` +
+	`<form><input id="q" type="text" name="q"></form></div>`
 
-	head := dom.NewElement("head")
-	htmlEl.AppendChild(head)
-	meta := dom.NewElement("meta")
-	meta.SetAttr("charset", "utf-8")
-	head.AppendChild(meta)
-	title := dom.NewElement("title")
-	title.AppendChild(dom.NewText(fmt.Sprintf("%s — %s", site.Domain, page.key)))
-	head.AppendChild(title)
-
-	appScript := dom.NewElement("script")
-	appScript.SetAttr("src", "/static/"+page.key+".js")
-	head.AppendChild(appScript)
-
-	body := dom.NewElement("body")
-	htmlEl.AppendChild(body)
+// renderPage writes the page's HTML document to buf: a head with the
+// page's first-party script, a nav of links, the content with action
+// buttons and a search field, then the third-party script tags and the ad
+// container. Text and attribute values are escaped as html.Render escapes
+// them, so the bytes equal those of the same tree rendered from a DOM.
+func (w *Web) renderPage(buf *bytes.Buffer, site *Site, plan *sitePlan, page *pagePlan, rng *rand.Rand) {
+	put := func(parts ...string) {
+		for _, s := range parts {
+			buf.WriteString(s)
+		}
+	}
+	domain, key := html.Escape(site.Domain), html.Escape(page.key)
+	put("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>", domain, " — ", key,
+		`</title><script src="/static/`, key, `.js"></script></head><body><nav>`)
 
 	// Navigation links.
-	navEl := dom.NewElement("nav")
-	body.AppendChild(navEl)
 	for _, href := range w.pageLinks(page.key, rng) {
-		a := dom.NewElement("a")
-		a.SetAttr("href", href)
-		a.AppendChild(dom.NewText(linkLabel(href)))
-		navEl.AppendChild(a)
+		put(`<a href="`, html.Escape(href), `">`, html.Escape(linkLabel(href)), "</a>")
 	}
 	// Member sites advertise their login wall from the home page; the
 	// open-web crawl hits the wall, a credentialed crawl goes through
 	// (paper §7.3).
 	if page.key == "home" && w.HasMembersArea(site) {
-		login := dom.NewElement("a")
-		login.SetAttr("href", "/account")
-		login.SetAttr("id", "login")
-		login.AppendChild(dom.NewText("Sign in"))
-		navEl.AppendChild(login)
+		put(`<a href="/account" id="login">Sign in</a>`)
 	}
-
-	// Content with action buttons and a search field.
-	mainEl := dom.NewElement("div")
-	mainEl.SetAttr("id", "content")
-	body.AppendChild(mainEl)
+	put(`</nav><div id="content">`)
+	// The loop test draws from rng on every pass; keep it as is.
 	for i := 0; i < 2+rng.Intn(3); i++ {
-		p := dom.NewElement("p")
-		p.AppendChild(dom.NewText(loremText(rng)))
-		mainEl.AppendChild(p)
+		put("<p>")
+		writeLorem(buf, rng)
+		put("</p>")
 	}
-	for i := 0; i < 4; i++ {
-		btn := dom.NewElement("button")
-		btn.SetAttr("id", fmt.Sprintf("act-%d", i))
-		btn.SetAttr("data-action", fmt.Sprintf("action-%d", i))
-		btn.AppendChild(dom.NewText(fmt.Sprintf("Action %d", i)))
-		mainEl.AppendChild(btn)
-	}
-	form := dom.NewElement("form")
-	input := dom.NewElement("input")
-	input.SetAttr("id", "q")
-	input.SetAttr("type", "text")
-	input.SetAttr("name", "q")
-	form.AppendChild(input)
-	mainEl.AppendChild(form)
+	put(pageControls)
 
 	// Third-party script tags and the ad container.
 	hasAd := false
 	for _, party := range []Party{PartyAd, PartyTracker, PartyDual} {
-		src, ok := page.thirdPartySource[party]
-		if !ok || src == "" {
+		if src, ok := page.thirdPartySource[party]; !ok || src == "" {
 			continue
 		}
-		tag := dom.NewElement("script")
-		tag.SetAttr("src", fmt.Sprintf("http://%s/tags/%s/%s.js", plan.partyHost[party], site.Domain, page.key))
-		body.AppendChild(tag)
-		if party == PartyAd || party == PartyDual {
-			hasAd = true
-		}
+		put(`<script src="http://`, html.Escape(plan.partyHost[party]), "/tags/", domain, "/", key, `.js"></script>`)
+		hasAd = hasAd || party == PartyAd || party == PartyDual
 	}
 	if hasAd {
-		ad := dom.NewElement("div")
-		ad.SetAttr("class", "ad-banner")
-		adLink := dom.NewElement("a")
-		adLink.SetAttr("id", "ad-link")
-		adLink.SetAttr("href", "http://"+plan.partyHost[PartyAd]+"/landing")
-		adLink.AppendChild(dom.NewText("Sponsored offer"))
-		ad.AppendChild(adLink)
-		body.AppendChild(ad)
+		put(`<div class="ad-banner"><a id="ad-link" href="http://`, html.Escape(plan.partyHost[PartyAd]),
+			`/landing">Sponsored offer</a></div>`)
 	}
-
-	return html.Render(doc)
+	put("</body></html>")
 }
 
 // pageLinks returns the local (and one external) links of a page.
 func (w *Web) pageLinks(key string, rng *rand.Rand) []string {
-	var links []string
+	links := make([]string, 0, 9)
 	switch {
 	case key == "home":
 		links = append(links, "/sec1", "/sec2", "/sec3")
-		links = append(links, fmt.Sprintf("/sec%d/p%d", 1+rng.Intn(3), 1+rng.Intn(5)))
-		links = append(links, fmt.Sprintf("/sec%d/p%d", 1+rng.Intn(3), 1+rng.Intn(5)))
-	case strings.HasPrefix(key, "sec") && len(key) == 4:
+		links = append(links, leafPath(1+rng.Intn(3), 1+rng.Intn(5)))
+		links = append(links, leafPath(1+rng.Intn(3), 1+rng.Intn(5)))
+	case len(key) == 4: // secN
+		sec := int(key[3] - '0')
 		for p := 1; p <= 5; p++ {
-			links = append(links, fmt.Sprintf("/%s/p%d", key, p))
+			links = append(links, leafPath(sec, p))
 		}
 		links = append(links, "/")
 	default: // a leaf: cross-links into other sections keep the BFS
 		// candidate pool rich, as real article pages link sideways
-		sec := key[:4]
-		links = append(links, "/"+sec, "/", "/sec1", "/sec2", "/sec3")
-		links = append(links, fmt.Sprintf("/%s/p%d", sec, 1+rng.Intn(5)))
-		links = append(links, fmt.Sprintf("/%s/p%d", sec, 1+rng.Intn(5)))
-		links = append(links, fmt.Sprintf("/sec%d/p%d", 1+rng.Intn(3), 1+rng.Intn(5)))
+		sec := int(key[3] - '0')
+		links = append(links, pagePaths[sec], "/", "/sec1", "/sec2", "/sec3")
+		links = append(links, leafPath(sec, 1+rng.Intn(5)))
+		links = append(links, leafPath(sec, 1+rng.Intn(5)))
+		links = append(links, leafPath(1+rng.Intn(3), 1+rng.Intn(5)))
 	}
 	links = append(links, "http://partner-offers.example/deals")
 	return dedupe(links)
 }
 
+// dedupe drops repeated links in place, keeping first occurrences. A page
+// has at most nine links, so a scan beats a set.
 func dedupe(in []string) []string {
-	seen := make(map[string]bool, len(in))
 	out := in[:0]
 	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
+		if !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}
@@ -453,23 +437,23 @@ var loremWords = []string{
 	"origin", "socket", "beacon", "cipher", "frame", "worker",
 }
 
-func loremText(rng *rand.Rand) string {
+// writeLorem writes a sentence of 8 to 25 filler words. No word needs
+// escaping.
+func writeLorem(buf *bytes.Buffer, rng *rand.Rand) {
 	n := 8 + rng.Intn(18)
-	words := make([]string, n)
-	for i := range words {
-		words[i] = loremWords[rng.Intn(len(loremWords))]
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			buf.WriteByte(' ')
+		}
+		buf.WriteString(loremWords[rng.Intn(len(loremWords))])
 	}
-	return strings.Join(words, " ") + "."
+	buf.WriteByte('.')
 }
 
 // PagePaths returns the URL paths of the site layout in BFS-friendly order
 // (used by tests and the crawler's validation tooling).
 func PagePaths() []string {
-	keys := pageKeys()
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = pathOfKey(k)
-	}
+	out := slices.Clone(pagePaths)
 	sort.Strings(out[1:]) // keep "/" first, rest sorted for determinism
 	return out
 }

@@ -1,6 +1,7 @@
 package synthweb
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,16 +9,34 @@ import (
 )
 
 func TestPageKeysAndPaths(t *testing.T) {
-	keys := pageKeys()
+	keys := pageKeys
 	if len(keys) != 19 { // home + 3 sections + 15 leaves
 		t.Fatalf("page keys = %d, want 19", len(keys))
 	}
-	if pathOfKey("home") != "/" || pathOfKey("sec2") != "/sec2" || pathOfKey("sec3p4") != "/sec3/p4" {
-		t.Fatal("pathOfKey mapping wrong")
+	if len(pagePaths) != len(keys) {
+		t.Fatalf("page paths = %d, want %d", len(pagePaths), len(keys))
+	}
+	for i, k := range keys {
+		// secNpM ↔ /secN/pM, secN ↔ /secN, home ↔ /.
+		if want := "/" + strings.Replace(strings.TrimPrefix(k, "home"), "p", "/p", 1); pagePaths[i] != want {
+			t.Errorf("path of %s = %q, want %q", k, pagePaths[i], want)
+		}
+	}
+	if leafPath(3, 4) != "/sec3/p4" {
+		t.Fatalf("leafPath(3, 4) = %q", leafPath(3, 4))
 	}
 	paths := PagePaths()
 	if len(paths) != 19 || paths[0] != "/" {
 		t.Fatalf("PagePaths = %v", paths)
+	}
+	// The layout is shared package state: building plans and listing
+	// paths must leave it as it was.
+	keysBefore, pathsBefore := slices.Clone(pageKeys), slices.Clone(pagePaths)
+	w := testWebOnce(t)
+	w.buildPlan(w.Sites[1])
+	PagePaths()
+	if !slices.Equal(pageKeys, keysBefore) || !slices.Equal(pagePaths, pathsBefore) {
+		t.Fatalf("layout mutated: %v %v", pageKeys, pagePaths)
 	}
 }
 

@@ -201,10 +201,8 @@ func TestResourceDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Clear the plan cache to force a rebuild.
-	w.planMu.Lock()
-	w.planCache = map[int]*sitePlan{}
-	w.planMu.Unlock()
+	// Drop the site's plan to force a rebuild.
+	w.dropPlan(site.Index)
 	b, err := w.Resource("http://" + site.Domain + "/")
 	if err != nil {
 		t.Fatal(err)

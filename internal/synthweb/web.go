@@ -84,9 +84,18 @@ type Web struct {
 	assign   [][]Assignment
 	byDomain map[string]*Site
 
-	planMu    sync.Mutex
-	planCache map[int]*sitePlan
+	// plans holds the planCacheSize most recently used site plans, the
+	// most recent last.
+	planMu sync.Mutex
+	plans  []*sitePlan
 }
+
+// planCacheSize bounds the plans a Web keeps. A pipeline worker runs every
+// case and round of one site back to back, so a Web serves at most
+// Shards × WorkersPerShard sites at once: 32 at 8×4, the largest geometry
+// in use. A plan is a pure function of seed and site, so a miss costs time
+// and never changes bytes.
+const planCacheSize = 64
 
 // Generate builds the synthetic web for a config.
 func Generate(reg *webidl.Registry, cfg Config) (*Web, error) {
@@ -101,11 +110,10 @@ func Generate(reg *webidl.Registry, cfg Config) (*Web, error) {
 	}
 
 	w := &Web{
-		Cfg:       cfg,
-		Ranking:   alexa.Generate(cfg.Sites, cfg.Seed),
-		Registry:  reg,
-		byDomain:  make(map[string]*Site, cfg.Sites),
-		planCache: make(map[int]*sitePlan),
+		Cfg:      cfg,
+		Ranking:  alexa.Generate(cfg.Sites, cfg.Seed),
+		Registry: reg,
+		byDomain: make(map[string]*Site, cfg.Sites),
 	}
 
 	for i := 0; i < adDomainCount; i++ {
@@ -332,23 +340,22 @@ func corruptScript(src string) string {
 }
 
 // planOf returns the site's materialization plan, building and caching it on
-// first use. The cache is bounded: crawlers process a site's visits
-// consecutively, so locality is high.
+// first use. The cache keeps the sites in flight (see planCacheSize) and
+// drops the least recently used plan.
 func (w *Web) planOf(site *Site) *sitePlan {
 	w.planMu.Lock()
 	defer w.planMu.Unlock()
-	if p, ok := w.planCache[site.Index]; ok {
-		return p
-	}
-	if len(w.planCache) > 512 {
-		for k := range w.planCache {
-			delete(w.planCache, k)
-			if len(w.planCache) <= 256 {
-				break
-			}
+	for i := len(w.plans) - 1; i >= 0; i-- {
+		if p := w.plans[i]; p.site == site.Index {
+			copy(w.plans[i:], w.plans[i+1:])
+			w.plans[len(w.plans)-1] = p
+			return p
 		}
 	}
+	if len(w.plans) == planCacheSize {
+		w.plans = append(w.plans[:0], w.plans[1:]...)
+	}
 	p := w.buildPlan(site)
-	w.planCache[site.Index] = p
+	w.plans = append(w.plans, p)
 	return p
 }
